@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import signal
 import sys
@@ -913,12 +914,35 @@ def cmd_profile(args):
 # -- the performance ledger ----------------------------------------------------
 
 
+@contextlib.contextmanager
+def _settled_heap():
+    """Collect, then freeze, the heap that exists before a timed sweep.
+
+    A full cyclic collection walks every tracked object, so its pause
+    grows with whatever the process held before the sweep began; for
+    an in-process caller still holding a paper-scale campaign result,
+    one pass outlasts a whole quick-corpus deploy.  Left alone, that
+    pass lands in whichever span happens to trigger it, and a same-seed
+    re-record reports the stage as a regression.  Frozen objects are
+    skipped by every collection until ``gc.unfreeze``, so the sweep's
+    collections only walk the sweep's own objects.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 def _record_sweep_trace(args):
     """Run one traced sweep for ``perf record --campaign`` and load it.
 
     The trace round-trips through a real trace file (a temp directory
     unless ``--trace-dir`` keeps it) so the profile is extracted from
-    exactly what any other trace consumer would see.
+    exactly what any other trace consumer would see.  The sweep runs on
+    a settled heap (:func:`_settled_heap`), so its stage timings do not
+    depend on what the process allocated before it.
     """
     import tempfile
 
@@ -933,7 +957,6 @@ def _record_sweep_trace(args):
     campaign = campaign_of(kind, configs[kind])
     fingerprint = fingerprint_of(kind, configs[kind])
     progress = _progress if args.verbose else None
-    started = time.time()
     with contextlib.ExitStack() as stack:
         trace_dir = getattr(args, "trace_dir", None)
         if not trace_dir:
@@ -945,6 +968,8 @@ def _record_sweep_trace(args):
             "kind": kind,
             "id": trace_id_for(kind, fingerprint),
         }
+        stack.enter_context(_settled_heap())
+        started = time.time()
         if args.workers > 1:
             from repro.runtime.pool import execute_sharded
 

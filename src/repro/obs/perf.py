@@ -57,6 +57,14 @@ DEFAULT_MAD_THRESHOLD = 3.0
 DEFAULT_MIN_DELTA_MS = 0.5
 DEFAULT_MIN_RATIO = 2.0
 
+#: A stage with at most this many spans also carries its exact span
+#: durations, and diffs read its median and MAD from them.  With few
+#: spans the bucket estimates are coarse: three deploys of 95 ms read as
+#: a 75 ms median and three of 105 ms as 175 ms, and a bucket-midpoint
+#: MAD is zero whenever the spans share a bucket — so a 10% wobble
+#: across a bucket bound would pass the 2x ratio gate.
+EXACT_STAGE_SAMPLES = 64
+
 
 class LedgerError(Exception):
     """A perf ledger cannot be used, with a classified reason."""
@@ -100,6 +108,34 @@ def _root_ms(trace):
         if span["parent"] == "":
             return float(span["ms"])
     return 0.0
+
+
+def _stage_obj(histogram, durations):
+    """A stage's histogram, plus its exact span durations when they are
+    few and account for every observation the histogram holds."""
+    obj = histogram.to_obj()
+    if len(durations) == histogram.count <= EXACT_STAGE_SAMPLES:
+        obj["samples"] = sorted(durations)
+    return obj
+
+
+def stage_stats(obj):
+    """``(count, median, MAD)`` of one profile stage in milliseconds.
+
+    Exact when the profile carries the stage's span durations (see
+    :data:`EXACT_STAGE_SAMPLES`); estimated from the histogram buckets
+    otherwise, which is all profiles recorded before that field existed
+    carry.
+    """
+    samples = obj.get("samples")
+    if samples:
+        import statistics
+
+        median = statistics.median(samples)
+        mad = statistics.median(abs(value - median) for value in samples)
+        return len(samples), median, mad
+    histogram = Histogram.from_obj(obj)
+    return histogram.count, histogram.quantile(0.5), histogram.mad()
 
 
 def _summarize(histogram):
@@ -155,6 +191,9 @@ def perf_profile(trace):
             1 for span in trace["spans"] if span["name"] in cell_names
         )
     root_ms = _root_ms(trace)
+    durations = {}
+    for span in trace["spans"]:
+        durations.setdefault(span["name"], []).append(float(span["ms"]))
     wire = None
     for labels, histogram in _histograms_named(trace, "wire_ms"):
         if wire is None:
@@ -173,7 +212,8 @@ def perf_profile(trace):
             round(cells / (root_ms / 1000.0), 3) if root_ms > 0 else 0.0
         ),
         "stages": {
-            stage: stages[stage].to_obj() for stage in sorted(stages)
+            stage: _stage_obj(stages[stage], durations.get(stage, ()))
+            for stage in sorted(stages)
         },
         "pairs": {key: _summarize(pairs[key]) for key in sorted(pairs)},
         "worker_utilization": [
@@ -502,37 +542,35 @@ def diff_profiles(profile_a, profile_b,
             "with parallelism"
         )
     stages_a = {
-        name: Histogram.from_obj(obj)
+        name: stage_stats(obj)
         for name, obj in profile_a.get("stages", {}).items()
     }
     stages_b = {
-        name: Histogram.from_obj(obj)
+        name: stage_stats(obj)
         for name, obj in profile_b.get("stages", {}).items()
     }
     deltas = []
     for stage in sorted(set(stages_a) | set(stages_b)):
         in_a, in_b = stages_a.get(stage), stages_b.get(stage)
         if in_a is None or in_b is None:
-            present = in_a or in_b
-            p50 = present.quantile(0.5)
+            count, p50, _ = in_a or in_b
             deltas.append(StageDelta(
                 stage,
-                in_a.count if in_a else 0,
-                in_b.count if in_b else 0,
+                count if in_a else 0,
+                count if in_b else 0,
                 p50 if in_a else 0.0,
                 p50 if in_b else 0.0,
                 0.0, 0.0, 1.0,
                 STAGE_REMOVED if in_b is None else STAGE_NEW,
             ))
             continue
-        p50_a, p50_b = in_a.quantile(0.5), in_b.quantile(0.5)
-        mad = in_a.mad()
+        (count_a, p50_a, mad), (count_b, p50_b, _) = in_a, in_b
         verdict = _judge(
             p50_a, p50_b, mad, mad_threshold, min_delta_ms, min_ratio
         )
         ratio = (p50_b / p50_a) if p50_a > 0 else float(p50_b > 0) or 1.0
         deltas.append(StageDelta(
-            stage, in_a.count, in_b.count, p50_a, p50_b,
+            stage, count_a, count_b, p50_a, p50_b,
             p50_b - p50_a, mad, ratio, verdict,
         ))
     cps_a = profile_a.get("cells_per_sec") or 0.0

@@ -122,10 +122,10 @@ def render_perf_trend(entries, profiles, stage=None):
         for name, hist_obj in profile.get("stages", {}).items():
             series.setdefault(name, [None] * len(profiles))
     for index, profile in enumerate(profiles):
-        from repro.obs.metrics import Histogram
+        from repro.obs.perf import stage_stats
 
         for name, hist_obj in profile.get("stages", {}).items():
-            series[name][index] = Histogram.from_obj(hist_obj).quantile(0.5)
+            series[name][index] = stage_stats(hist_obj)[1]
     if stage is not None:
         values = series.get(stage)
         if values is None:

@@ -186,7 +186,11 @@ class GuardedStep:
                 bucket=TriageBucket.TIMEOUT,
                 detail=f"{self.name}: exceeded {deadline:g}s wall-clock deadline",
             )
-        return box[0]
+        # Emptying ``box`` breaks the cycle that a verdict's exception
+        # would close through its traceback and the finished worker's
+        # frame, so the step's input text is freed with the verdict
+        # instead of waiting for the cyclic garbage collector.
+        return box.pop()
 
 
 def run_guarded(name, fn, *args, limits=None, **kwargs):

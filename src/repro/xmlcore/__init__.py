@@ -3,8 +3,11 @@
 The paper's ecosystem is built on XML documents (WSDL, XSD, SOAP).  No
 third-party XML library is assumed: this package provides an element tree
 model (:mod:`repro.xmlcore.model`), a namespace-aware serializer
-(:mod:`repro.xmlcore.writer`) and a from-scratch recursive-descent parser
-(:mod:`repro.xmlcore.parser`).
+(:mod:`repro.xmlcore.writer`) and a self-contained parser
+(:mod:`repro.xmlcore.parser`) that scans a token at a time: compiled
+patterns match whole tags and ``str.find`` locates text runs.  A tag the
+patterns miss is re-scanned character by character, so every diagnostic
+(message, position, line and column) is what that scan reports.
 
 Quick use::
 

@@ -119,16 +119,19 @@ class Element:
         """First child with qualified name ``name``, or ``None``."""
         if not isinstance(name, QName):
             name = QName(name)
-        for child in self.children:
-            if child.name == name:
-                return child
+        for item in self.content:
+            if isinstance(item, Element) and item.name == name:
+                return item
         return None
 
     def find_all(self, name):
         """All direct children with qualified name ``name``."""
         if not isinstance(name, QName):
             name = QName(name)
-        return [child for child in self.children if child.name == name]
+        return [
+            item for item in self.content
+            if isinstance(item, Element) and item.name == name
+        ]
 
     def find_local(self, local):
         """First child whose local name is ``local`` (any namespace)."""

@@ -4,7 +4,9 @@ Produces either compact or pretty-printed output.  Prefixes are assigned
 per element subtree: an element's ``prefix_hint`` is honoured when
 possible (so WSDLs can reproduce the conventional ``wsdl:``, ``xsd:``,
 ``soap:`` and .NET's ``s:`` prefixes), otherwise ``ns0``, ``ns1``, … are
-generated.
+generated.  A subtree shares its parent's prefix scope until one of its
+elements binds a prefix, and a value with nothing to escape is written
+as it is.
 """
 
 from __future__ import annotations
@@ -13,22 +15,28 @@ from repro.xmlcore.errors import XmlWriteError
 from repro.xmlcore.model import Document, Element
 from repro.xmlcore.names import XML_NS
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+_INVALID_NAME_CHARS = frozenset(" <>&\"'")
 
 
 def escape_text(value):
     """Escape character data for element content."""
-    return "".join(_TEXT_ESCAPES.get(ch, ch) for ch in value)
+    if "&" not in value and "<" not in value and ">" not in value:
+        return value
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def escape_attribute(value):
     """Escape character data for a double-quoted attribute value."""
-    return "".join(_ATTR_ESCAPES.get(ch, ch) for ch in value)
+    if "&" not in value and "<" not in value and ">" not in value and '"' not in value:
+        return value
+    return (
+        value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
 
 
 def _validate_name(local):
-    if not local or local[0].isdigit() or any(ch in local for ch in " <>&\"'"):
+    if not local or local[0].isdigit() or not _INVALID_NAME_CHARS.isdisjoint(local):
         raise XmlWriteError(f"invalid XML name: {local!r}")
 
 
@@ -95,35 +103,52 @@ def _qualify(name, scope, allocator, new_declarations, hint=None):
     return f"{prefix}:{name.local}"
 
 
-def _write_element(parts, element, scope, allocator, depth, pretty):
-    scope = dict(scope)
-    new_declarations = []
+def _indents_children(content):
+    """True if ``content`` holds child elements and no text but whitespace."""
+    has_child_elements = False
+    for item in content:
+        if isinstance(item, Element):
+            has_child_elements = True
+        elif isinstance(item, str) and item.strip():
+            return False
+    return has_child_elements
 
+
+def _write_element(parts, element, scope, allocator, depth, pretty):
     # Explicit namespace declarations (attributes named ``xmlns`` or
     # ``xmlns:foo`` in no namespace) take effect before qualification, so
     # builders can pin the prefixes used inside QName-valued attribute
     # values like ``type="xsd:string"``.
     explicit = []
+    plain = []
+    namespace = element.name.namespace
+    binds = namespace is not None and namespace not in scope
     for attr_name, attr_value in element.attributes.items():
-        if attr_name.namespace is None and (
-            attr_name.local == "xmlns" or attr_name.local.startswith("xmlns:")
-        ):
-            prefix = "" if attr_name.local == "xmlns" else attr_name.local[6:]
-            scope[str(attr_value)] = prefix
-            allocator.mark_taken(prefix)
-            explicit.append((attr_name.local, str(attr_value)))
+        if attr_name.namespace is None:
+            local = attr_name.local
+            if local == "xmlns" or local.startswith("xmlns:"):
+                explicit.append((local, str(attr_value)))
+                continue
+        elif attr_name.namespace not in scope:
+            binds = True
+        plain.append((attr_name, attr_value))
 
+    # The scope is shared down the tree until an element binds a prefix.
+    if binds or explicit:
+        scope = dict(scope)
+        for local, uri in explicit:
+            prefix = "" if local == "xmlns" else local[6:]
+            scope[uri] = prefix
+            allocator.mark_taken(prefix)
+
+    new_declarations = []
     tag = _qualify(element.name, scope, allocator, new_declarations, element.prefix_hint)
 
     parts.append("<")
     parts.append(tag)
 
     attr_parts = []
-    for attr_name, attr_value in element.attributes.items():
-        if attr_name.namespace is None and (
-            attr_name.local == "xmlns" or attr_name.local.startswith("xmlns:")
-        ):
-            continue
+    for attr_name, attr_value in plain:
         rendered = _qualify(attr_name, scope, allocator, new_declarations)
         attr_parts.append(f'{rendered}="{escape_attribute(str(attr_value))}"')
     for local, uri in explicit:
@@ -138,24 +163,25 @@ def _write_element(parts, element, scope, allocator, depth, pretty):
         parts.append(" ")
         parts.append(rendered)
 
-    if not element.content:
+    content = element.content
+    if not content:
         parts.append("/>")
         return
 
     parts.append(">")
-    has_child_elements = any(isinstance(item, Element) for item in element.content)
-    has_text = any(isinstance(item, str) and item.strip() for item in element.content)
-    indent_children = pretty and has_child_elements and not has_text
-
-    for item in element.content:
-        if isinstance(item, str):
-            if indent_children and not item.strip():
+    if pretty and _indents_children(content):
+        # Only whitespace text sits between the children: re-indent them.
+        child_indent = "\n" + "  " * (depth + 1)
+        for item in content:
+            if isinstance(item, str):
                 continue
-            parts.append(escape_text(item))
-        else:
-            if indent_children:
-                parts.append("\n" + "  " * (depth + 1))
+            parts.append(child_indent)
             _write_element(parts, item, scope, allocator, depth + 1, pretty)
-    if indent_children:
         parts.append("\n" + "  " * depth)
+    else:
+        for item in content:
+            if isinstance(item, str):
+                parts.append(escape_text(item))
+            else:
+                _write_element(parts, item, scope, allocator, depth + 1, pretty)
     parts.append(f"</{tag}>")

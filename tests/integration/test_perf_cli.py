@@ -7,6 +7,7 @@ ledger, and the ``--progress`` stream validates against its schema
 while leaving the canonical matrices byte-identical.
 """
 
+import gc
 import json
 import multiprocessing
 import os
@@ -49,6 +50,26 @@ class TestSameSeedZeroDrift:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "no significant" in out
+
+
+class TestSettledHeap:
+    def test_sweep_runs_on_a_frozen_heap_and_thaws_after(self, tmp_path):
+        """Objects alive before the sweep are frozen while its spans are
+        timed, so a full collection inside a span walks only the sweep's
+        own objects; the caller's heap is unfrozen afterwards."""
+        seen = []
+
+        def probe(name):
+            seen.append(gc.get_freeze_count())
+            return 1.0
+
+        trace_mod.duration_scale_hook = probe
+        try:
+            assert _record(str(tmp_path / "ledger"), "t0") == 0
+        finally:
+            trace_mod.duration_scale_hook = None
+        assert seen and min(seen) > 0
+        assert gc.get_freeze_count() == 0
 
 
 class TestInjectedSlowdown:

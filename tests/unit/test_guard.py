@@ -1,7 +1,9 @@
 """Unit tests for the guarded lifecycle executor and its triage taxonomy."""
 
 import dataclasses
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -108,6 +110,28 @@ class TestGuardedStep:
     def test_inline_limits_run_without_watchdog(self):
         verdict = run_guarded("fast", lambda: "ok", limits=INLINE_LIMITS)
         assert verdict.ok and verdict.value == "ok"
+
+    def test_failed_step_input_freed_with_its_verdict(self):
+        # The verdict's exception reaches the step's frames through its
+        # traceback; no reference cycle may keep them, and the input
+        # they hold, alive until the cyclic collector runs.
+        class Document:
+            pass
+
+        def parse(document):
+            raise XmlParseError("not xml")
+
+        document = Document()
+        alive = weakref.ref(document)
+        gc.disable()
+        try:
+            verdict = run_guarded("parse", parse, document,
+                                  limits=GuardLimits(deadline_seconds=10.0))
+            assert verdict.bucket is TriageBucket.PARSER_CRASH
+            del document, verdict
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_input_budget(self):
         step = GuardedStep("read", str, limits=GuardLimits(max_input_bytes=10))

@@ -25,12 +25,14 @@ from repro.obs import (
     slowest_service_spans,
 )
 from repro.obs.perf import (
+    EXACT_STAGE_SAMPLES,
     LedgerError,
     STAGE_IMPROVED,
     STAGE_NEW,
     STAGE_OK,
     STAGE_REGRESSION,
     STAGE_REMOVED,
+    stage_stats,
     trace_to_profile_inputs,
 )
 from repro.runtime.progress import (
@@ -46,6 +48,13 @@ def _stage_histogram(values):
     for value in values:
         histogram.observe(value)
     return histogram.to_obj()
+
+
+def _exact_stage(values):
+    """A stage as :func:`perf_profile` writes it for a few-span stage."""
+    obj = _stage_histogram(values)
+    obj["samples"] = sorted(values)
+    return obj
 
 
 def _profile(stage_values, kind="run", trace_id="tid", workers=1,
@@ -114,6 +123,31 @@ class TestProfileExtraction:
             "tid", "invoke", 1, tracer.events, tracer.metrics
         )
         assert perf_profile(trace)["cells"] == 1
+
+    def test_few_span_stages_carry_their_exact_durations(self):
+        trace = _traced_trace()
+        profile = perf_profile(trace)
+        for stage, obj in profile["stages"].items():
+            durations = sorted(
+                span["ms"] for span in trace["spans"]
+                if span["name"] == stage
+            )
+            assert obj["samples"] == durations
+            assert len(durations) == obj["count"]
+
+    def test_many_span_stages_keep_only_buckets(self):
+        tracer = Tracer("tid")
+        for _ in range(EXACT_STAGE_SAMPLES + 1):
+            with tracer.span("generate"):
+                pass
+        tracer.emit_root()
+        trace = trace_to_profile_inputs(
+            "tid", "run", 1, tracer.events, tracer.metrics
+        )
+        stages = perf_profile(trace)["stages"]
+        assert stages["generate"]["count"] == EXACT_STAGE_SAMPLES + 1
+        assert "samples" not in stages["generate"]
+        assert len(stages["campaign"]["samples"]) == 1
 
 
 class TestLedger:
@@ -217,6 +251,44 @@ class TestDiff:
         moved = _profile({"test": [2.0, 7.0, 22.0, 42.0] * 5})
         diff = diff_profiles(base, moved)
         assert not diff.significant
+
+    def test_exact_medians_do_not_jump_a_bucket_bound(self):
+        # 95 ms and 105 ms straddle the 100 ms bound: the bucket
+        # estimates read 75 and 175 ms, the exact medians 95 and 105.
+        base = _profile({})
+        base["stages"]["deploy"] = _exact_stage([95.0, 95.0, 95.0])
+        slower = _profile({})
+        slower["stages"]["deploy"] = _exact_stage([105.0, 105.0, 105.0])
+        (delta,) = diff_profiles(base, slower).stages
+        assert (delta.p50_a, delta.p50_b) == (95.0, 105.0)
+        assert delta.verdict == STAGE_OK
+
+    def test_exact_samples_still_flag_a_real_slowdown(self):
+        base = _profile({})
+        base["stages"]["deploy"] = _exact_stage([90.0, 95.0, 100.0])
+        slow = _profile({})
+        slow["stages"]["deploy"] = _exact_stage([250.0, 260.0, 270.0])
+        diff = diff_profiles(base, slow)
+        assert [s.stage for s in diff.regressions] == ["deploy"]
+        assert diff.regressions[0].mad_ms == 5.0
+
+    def test_exact_mad_is_the_noise_scale(self):
+        # Three spans spread 10-40 ms: MAD 10 ms, so a 25 ms median
+        # shift stays within 3 MADs even though it is 2.25x.
+        base = _profile({})
+        base["stages"]["service"] = _exact_stage([10.0, 20.0, 40.0])
+        moved = _profile({})
+        moved["stages"]["service"] = _exact_stage([15.0, 45.0, 60.0])
+        (delta,) = diff_profiles(base, moved).stages
+        assert delta.mad_ms == 10.0
+        assert delta.verdict == STAGE_OK
+
+    def test_stage_stats_fall_back_to_buckets_without_samples(self):
+        obj = _stage_histogram([95.0, 95.0, 95.0])
+        histogram = Histogram.from_obj(obj)
+        assert stage_stats(obj) == (3, histogram.quantile(0.5),
+                                    histogram.mad())
+        assert stage_stats(_exact_stage([1.0, 2.0, 9.0])) == (3, 2.0, 1.0)
 
     def test_one_sided_stages_are_informational(self):
         base = _profile({"old": [1.0] * 5})

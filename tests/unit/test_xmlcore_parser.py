@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmlcore import QName, XmlParseError, parse, parse_document
+from repro.xmlcore import QName, XmlLimitError, XmlParseError, parse, parse_document
 
 
 class TestBasics:
@@ -70,6 +70,26 @@ class TestEntities:
     def test_unknown_entity_rejected(self):
         with pytest.raises(XmlParseError):
             parse("<a>&nbsp;</a>")
+
+    @pytest.mark.parametrize(
+        "reference,message,column",
+        [
+            # the message drops the ``x`` of a hexadecimal reference
+            ("&#x110000;", "invalid character reference &#110000;", 14),
+            ("&#-5;", "invalid character reference &#-5;", 9),
+            ("&#x;", "invalid character reference &#;", 8),
+            # past int()'s default limit of 4,300 digits
+            ("&#" + "9" * 5000 + ";",
+             "invalid character reference &#" + "9" * 5000 + ";", 5007),
+        ],
+        ids=["above-unicode", "negative", "no-digits", "5000-digits"],
+    )
+    def test_invalid_char_reference_is_a_parse_error(self, reference, message, column):
+        with pytest.raises(XmlParseError) as caught:
+            parse(f"<a>{reference}</a>")
+        assert type(caught.value) is XmlParseError
+        assert caught.value.message == message
+        assert (caught.value.line, caught.value.column) == (1, column)
 
 
 class TestNamespaces:
@@ -150,3 +170,45 @@ class TestWellFormedness:
 
     def test_trailing_comment_allowed(self):
         assert parse("<a/><!-- bye -->").name.local == "a"
+
+
+class TestLimits:
+    """Each default budget: the exact diagnostic one step past it."""
+
+    @staticmethod
+    def _limit_error(text):
+        with pytest.raises(XmlLimitError) as caught:
+            parse(text)
+        error = caught.value
+        return error.message, error.limit, error.line, error.column
+
+    def test_max_depth(self):
+        assert parse("<a>" * 160 + "</a>" * 160).name.local == "a"
+        assert self._limit_error("<a>\n" * 161 + "</a>\n" * 161) == (
+            "element nesting deeper than 160", "max_depth", 161, 1,
+        )
+
+    def test_max_text_length_text_run(self):
+        assert parse("<r>\n  <a>" + "x" * 1_000_000 + "</a>\n</r>").name.local == "r"
+        assert self._limit_error("<r>\n  <a>" + "x" * 1_000_001 + "</a>\n</r>") == (
+            "text run longer than 1000000", "max_text_length", 2, 1_000_007,
+        )
+
+    def test_max_text_length_cdata(self):
+        text = "<r>\n  <a><![CDATA[" + "x" * 1_000_001 + "]]></a>\n</r>"
+        assert self._limit_error(text) == (
+            "CDATA section longer than 1000000", "max_text_length", 2, 1_000_019,
+        )
+
+    def test_max_text_length_attribute_value(self):
+        text = '<r>\n  <a v="' + "x" * 1_000_001 + '"/>\n</r>'
+        assert self._limit_error(text) == (
+            "attribute value longer than 1000000", "max_text_length", 2, 1_000_011,
+        )
+
+    def test_max_entity_references(self):
+        assert parse("<a>" + "&amp;" * 10_000 + "</a>").text == "&" * 10_000
+        assert self._limit_error("<r>\n  <a>" + "&amp;" * 10_001 + "</a>\n</r>") == (
+            "more than 10000 entity references in one text run",
+            "max_entity_references", 2, 50_011,
+        )

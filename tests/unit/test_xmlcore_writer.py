@@ -90,6 +90,16 @@ class TestSerialize:
         with pytest.raises(XmlWriteError):
             serialize(Element(QName("1bad")))
 
+    # The first character is tested with str.isdigit: "²" and "٣" are
+    # digits to it, "½" is not.
+    @pytest.mark.parametrize("local", ["²bad", "٣bad", "a b", "a<b", "a>b", "a&b", 'a"b', "a'b"])
+    def test_digit_start_or_markup_character_rejected(self, local):
+        with pytest.raises(XmlWriteError):
+            serialize(Element(QName(local)))
+
+    def test_numeric_non_digit_start_accepted(self):
+        assert serialize(Element(QName("½ok")), xml_declaration=False) == "<½ok/>\n"
+
     def test_non_element_rejected(self):
         with pytest.raises(XmlWriteError):
             serialize("not an element")
