@@ -61,7 +61,7 @@ def _site_seconds(tracer, n=LOOP):
 
 
 def test_tracing_overhead(benchmark, quick_config):
-    trace_id = trace_id_for("run", Campaign(quick_config)._fingerprint())
+    trace_id = trace_id_for("run", quick_config.fingerprint())
 
     def measure():
         null_site = _site_seconds(NullTracer())

@@ -42,7 +42,7 @@ def _cpu_timed(fn):
 
 
 def test_ledger_overhead(benchmark, quick_config):
-    trace_id = trace_id_for("run", Campaign(quick_config)._fingerprint())
+    trace_id = trace_id_for("run", quick_config.fingerprint())
     ledger_dir = tempfile.mkdtemp(prefix="bench-perf-")
 
     def measure():

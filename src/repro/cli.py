@@ -106,71 +106,7 @@ def flush_signals_to_interrupt():
             signal.signal(sig, handler)
 
 
-def _pool_config_from(args):
-    from repro.runtime.pool import PoolConfig
-
-    return PoolConfig(
-        workers=args.workers, watchdog_seconds=args.watchdog_secs
-    )
-
-
-# -- tracing ------------------------------------------------------------------
-
-
-def _make_trace(args, campaign_kind, fingerprint):
-    """``--trace-dir`` context: ``None`` when tracing is off.
-
-    The trace ID comes from the campaign-level fingerprint — not the
-    shard fingerprint — so a serial run and any ``--workers N`` run of
-    the same configuration share span IDs.
-    """
-    trace_dir = getattr(args, "trace_dir", None)
-    if not trace_dir:
-        return None
-    from repro.obs import trace_id_for
-
-    return {
-        "dir": trace_dir,
-        "kind": campaign_kind,
-        "id": trace_id_for(campaign_kind, fingerprint),
-    }
-
-
-def _run_traced_serial(trace, run_fn):
-    """Run ``run_fn`` under an active tracer; flush the trace atomically."""
-    if trace is None:
-        return run_fn()
-    from repro.obs import Tracer, TraceSink, activate
-
-    tracer = Tracer(trace["id"])
-    with activate(tracer):
-        result = run_fn()
-    tracer.emit_root()
-    path = TraceSink(trace["dir"]).write(
-        trace["id"], trace["kind"], tracer.events, tracer.metrics, workers=1
-    )
-    print(f"trace written to {path}", file=sys.stderr)
-    return result
-
-
-def _pool_collector(trace):
-    if trace is None:
-        return None
-    from repro.obs import TraceCollector
-
-    return TraceCollector(trace["id"])
-
-
-def _write_pool_trace(trace, collector, workers):
-    if trace is None:
-        return
-    from repro.obs import TraceSink
-
-    path = TraceSink(trace["dir"]).write(
-        trace["id"], trace["kind"], collector.events, collector.metrics,
-        workers=workers, worker_events=collector.worker_events,
-    )
-    print(f"trace written to {path}", file=sys.stderr)
+# -- the one sweep path -------------------------------------------------------
 
 
 def _print_pool_summary(stats):
@@ -215,41 +151,54 @@ def _telemetry_kwargs(args, kind, fingerprint):
     }
 
 
-def _warn_serial_progress(args):
-    if getattr(args, "progress_path", None):
-        print("note: --progress streams heartbeats only for pooled sweeps; "
-              "re-run with --workers 2 or more", file=sys.stderr)
+def _sweep(args, campaign, job, trace_dir=None):
+    """Run one sweep through the engine: every command's one path.
+
+    ``--workers`` picks in-process (1) or the supervised pool; the
+    checkpoint, ``--progress`` stream, ``--trace-dir`` trace and the
+    result are the same code either way.  The trace ID comes from the
+    campaign-level fingerprint, not the shard fingerprint, so every
+    worker count of one configuration shares span IDs.  ``trace_dir``
+    overrides ``--trace-dir`` (``perf record`` traces into a temporary
+    directory).
+    """
+    from repro.core.sharding import PoolConfig, execute_sharded
+    from repro.obs import TraceCollector, TraceSink, trace_id_for
+
+    workers = getattr(args, "workers", 1)
+    fingerprint = job.config.fingerprint()
+    trace_dir = trace_dir or getattr(args, "trace_dir", None)
+    collector = None
+    if trace_dir:
+        collector = TraceCollector(trace_id_for(job.campaign, fingerprint))
+    result, stats = execute_sharded(
+        job,
+        PoolConfig(workers=workers,
+                   watchdog_seconds=getattr(args, "watchdog_secs", 300.0)),
+        checkpoint=_checkpoint_from(args),
+        progress=_progress if getattr(args, "verbose", False) else None,
+        collector=collector, campaign=campaign,
+        **_telemetry_kwargs(args, job.campaign, fingerprint),
+    )
+    if workers > 1:
+        _print_pool_summary(stats)
+    if collector is not None:
+        path = TraceSink(trace_dir).write(
+            collector.trace_id, job.campaign, collector.events,
+            collector.metrics, workers=workers,
+            worker_events=collector.worker_events,
+        )
+        print(f"trace written to {path}", file=sys.stderr)
+    return result
 
 
 def _run_campaign(args):
-    config = _config_from(args)
     started = time.time()
-    progress = _progress if args.verbose else None
-    checkpoint = _checkpoint_from(args)
-    fingerprint = Campaign(config)._fingerprint()
-    trace = _make_trace(args, "run", fingerprint)
-    if getattr(args, "workers", 1) > 1:
-        from repro.runtime.pool import execute_sharded
-
-        job = Campaign(config).shard_job(
-            chunks_per_server=getattr(args, "shards", None)
-        )
-        collector = _pool_collector(trace)
-        result, stats = execute_sharded(
-            job, _pool_config_from(args),
-            checkpoint=checkpoint, progress=progress, collector=collector,
-            **_telemetry_kwargs(args, "run", fingerprint),
-        )
-        _print_pool_summary(stats)
-        _write_pool_trace(trace, collector, args.workers)
-    else:
-        _warn_serial_progress(args)
-        result = _run_traced_serial(
-            trace,
-            lambda: Campaign(config).run(
-                progress=progress, checkpoint=checkpoint
-            ),
-        )
+    campaign = Campaign(_config_from(args))
+    result = _sweep(
+        args, campaign,
+        campaign.shard_job(chunks_per_server=getattr(args, "shards", None)),
+    )
     elapsed = time.time() - started
     print(f"campaign finished in {elapsed:.1f}s", file=sys.stderr)
     return result
@@ -500,26 +449,7 @@ def cmd_resilience(args):
     )
     campaign = ResilienceCampaign(config)
     started = time.time()
-    progress = _progress if args.verbose else None
-    checkpoint = _checkpoint_from(args)
-    trace = _make_trace(args, "resilience", config.fingerprint())
-    if args.workers > 1:
-        from repro.runtime.pool import execute_sharded
-
-        collector = _pool_collector(trace)
-        result, stats = execute_sharded(
-            campaign.shard_job(), _pool_config_from(args),
-            checkpoint=checkpoint, progress=progress, collector=collector,
-            **_telemetry_kwargs(args, "resilience", config.fingerprint()),
-        )
-        _print_pool_summary(stats)
-        _write_pool_trace(trace, collector, args.workers)
-    else:
-        _warn_serial_progress(args)
-        result = _run_traced_serial(
-            trace,
-            lambda: campaign.run(progress=progress, checkpoint=checkpoint),
-        )
+    result = _sweep(args, campaign, campaign.shard_job())
     print(f"resilience sweep finished in {time.time() - started:.1f}s",
           file=sys.stderr)
     print(render_resilience_matrix(result, only_failing=args.only_failing))
@@ -585,26 +515,7 @@ def cmd_fuzz(args):
     )
     campaign = FuzzCampaign(config)
     started = time.time()
-    progress = _progress if args.verbose else None
-    checkpoint = _checkpoint_from(args)
-    trace = _make_trace(args, "fuzz", config.fingerprint())
-    if args.workers > 1:
-        from repro.runtime.pool import execute_sharded
-
-        collector = _pool_collector(trace)
-        result, stats = execute_sharded(
-            campaign.shard_job(), _pool_config_from(args),
-            checkpoint=checkpoint, progress=progress, collector=collector,
-            **_telemetry_kwargs(args, "fuzz", config.fingerprint()),
-        )
-        _print_pool_summary(stats)
-        _write_pool_trace(trace, collector, args.workers)
-    else:
-        _warn_serial_progress(args)
-        result = _run_traced_serial(
-            trace,
-            lambda: campaign.run(progress=progress, checkpoint=checkpoint),
-        )
+    result = _sweep(args, campaign, campaign.shard_job())
     print(f"fuzz sweep finished in {time.time() - started:.1f}s",
           file=sys.stderr)
     print(render_fuzz_matrix(result, only_failing=args.only_failing))
@@ -668,26 +579,7 @@ def cmd_invoke(args):
     )
     campaign = InvocationCampaign(config)
     started = time.time()
-    progress = _progress if args.verbose else None
-    checkpoint = _checkpoint_from(args)
-    trace = _make_trace(args, "invoke", config.fingerprint())
-    if args.workers > 1:
-        from repro.runtime.pool import execute_sharded
-
-        collector = _pool_collector(trace)
-        result, stats = execute_sharded(
-            campaign.shard_job(), _pool_config_from(args),
-            checkpoint=checkpoint, progress=progress, collector=collector,
-            **_telemetry_kwargs(args, "invoke", config.fingerprint()),
-        )
-        _print_pool_summary(stats)
-        _write_pool_trace(trace, collector, args.workers)
-    else:
-        _warn_serial_progress(args)
-        result = _run_traced_serial(
-            trace,
-            lambda: campaign.run(progress=progress, checkpoint=checkpoint),
-        )
+    result = _sweep(args, campaign, campaign.shard_job())
     print(f"invocation sweep finished in {time.time() - started:.1f}s",
           file=sys.stderr)
     if not result.services_matched and config.service_filter:
@@ -781,8 +673,9 @@ def cmd_regress(args):
         checkpoint_dir=args.checkpoint_dir, progress=progress,
         pool_stats=pool_stats,
     )
-    for stats in pool_stats.values():
-        _print_pool_summary(stats)
+    if args.workers > 1:
+        for stats in pool_stats.values():
+            _print_pool_summary(stats)
     print(f"regress sweep ({', '.join(campaigns)}) finished in "
           f"{time.time() - started:.1f}s", file=sys.stderr)
 
@@ -946,46 +839,25 @@ def _record_sweep_trace(args):
     """
     import tempfile
 
-    from repro.obs import load_trace, trace_id_for
-    from repro.regress.runner import build_configs, campaign_of, fingerprint_of
+    from repro.core.sharding import campaign_class
+    from repro.obs import load_trace
+    from repro.regress.runner import build_configs
 
     kind = args.campaign
     configs = build_configs(
         (kind,), _config_from(args), seed=args.seed, sample=args.sample,
         payloads_per_class=args.payloads, mutants_per_config=args.mutants,
     )
-    campaign = campaign_of(kind, configs[kind])
-    fingerprint = fingerprint_of(kind, configs[kind])
-    progress = _progress if args.verbose else None
+    campaign = campaign_class(kind)(configs[kind])
     with contextlib.ExitStack() as stack:
         trace_dir = getattr(args, "trace_dir", None)
         if not trace_dir:
             trace_dir = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="wsinterop-perf-")
             )
-        trace = {
-            "dir": trace_dir,
-            "kind": kind,
-            "id": trace_id_for(kind, fingerprint),
-        }
         stack.enter_context(_settled_heap())
         started = time.time()
-        if args.workers > 1:
-            from repro.runtime.pool import execute_sharded
-
-            collector = _pool_collector(trace)
-            _, stats = execute_sharded(
-                campaign.shard_job(), _pool_config_from(args),
-                progress=progress, collector=collector,
-                **_telemetry_kwargs(args, kind, fingerprint),
-            )
-            _print_pool_summary(stats)
-            _write_pool_trace(trace, collector, args.workers)
-        else:
-            _warn_serial_progress(args)
-            _run_traced_serial(
-                trace, lambda: campaign.run(progress=progress)
-            )
+        _sweep(args, campaign, campaign.shard_job(), trace_dir=trace_dir)
         print(f"{kind} sweep finished in {time.time() - started:.1f}s",
               file=sys.stderr)
         return load_trace(trace_dir)
@@ -1084,12 +956,11 @@ def _timing_advisories(ledger_dir, campaigns, configs):
     """
     from repro.obs import PerfLedger, diff_profiles, trace_id_for
     from repro.obs.perf import LedgerError
-    from repro.regress.runner import fingerprint_of
 
     ledger = PerfLedger(ledger_dir)
     advisories = []
     for kind in campaigns:
-        trace_id = trace_id_for(kind, fingerprint_of(kind, configs[kind]))
+        trace_id = trace_id_for(kind, configs[kind].fingerprint())
         try:
             entries, _ = ledger.entries(kind=kind, trace_id=trace_id)
             if len(entries) < 2:
@@ -1124,8 +995,8 @@ def _add_transport_argument(parser):
 def _add_pool_arguments(parser, shards=False):
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes; >1 runs the sweep as a supervised "
-        "process-isolated pool (results are byte-identical to --workers 1)",
+        help="worker processes; 1 runs the sweep in-process, >1 as a "
+        "supervised process-isolated pool (results are byte-identical)",
     )
     parser.add_argument(
         "--watchdog-secs", type=float, default=300.0,
@@ -1141,8 +1012,8 @@ def _add_pool_arguments(parser, shards=False):
     parser.add_argument(
         "--progress", dest="progress_path", default=None, metavar="PATH",
         help="append a crash-safe JSONL heartbeat stream (units done/total, "
-        "per-worker state, ETA) to PATH while a pooled sweep runs; pure "
-        "telemetry — results stay byte-identical (needs --workers >= 2)",
+        "per-worker state, ETA) to PATH while the sweep runs; pure "
+        "telemetry — results stay byte-identical",
     )
     parser.add_argument(
         "--perf-ledger", dest="perf_ledger", default=None, metavar="DIR",
@@ -1187,7 +1058,8 @@ def build_parser():
     )
     run_parser.add_argument(
         "--checkpoint-dir",
-        help="checkpoint each completed server here; re-run to resume",
+        help="checkpoint each completed shard unit here; re-run (under "
+        "any --workers count) to resume",
     )
     _add_transport_argument(run_parser)
     _add_pool_arguments(run_parser, shards=True)

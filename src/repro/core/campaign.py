@@ -18,8 +18,17 @@ from dataclasses import dataclass, field
 
 from repro.appservers import container_for
 from repro.core.pipeline import run_client_test
+from repro.core.results import ServerRunReport, merge_run
+from repro.core.sharding import (
+    CAMPAIGN_RUN,
+    DEFAULT_CHUNKS_PER_SERVER,
+    SERIAL,
+    ShardJob,
+    chunk_bounds,
+    execute_sharded,
+)
+from repro.core.store import ServerSlice
 from repro.obs.trace import current_tracer
-from repro.core.results import CampaignResult, ServerRunReport
 from repro.frameworks.registry import CLIENT_IDS, SERVER_IDS, all_client_frameworks
 from repro.services import generate_corpus
 from repro.typesystem import (
@@ -62,6 +71,20 @@ class CampaignConfig:
     #: fingerprint mismatch.
     transport: str = "memory"
 
+    def fingerprint(self):
+        """Stable identity guarding checkpoints, baselines and traces."""
+        return {
+            "servers": list(self.server_ids),
+            "clients": list(self.client_ids),
+            "parse_per_client": self.parse_per_client,
+            "overrides": {
+                client_id: dict(flags)
+                for client_id, flags in sorted(
+                    self.client_flag_overrides.items()
+                )
+            },
+        }
+
 
 class Campaign:
     """Runs the assessment approach end to end."""
@@ -69,10 +92,10 @@ class Campaign:
     def __init__(self, config=None):
         self.config = config or CampaignConfig()
         self._catalogs = {}
-        #: Deployed containers cached per server by ``run_shard_unit``,
-        #: so a worker handling several chunks of one server deploys
-        #: the corpus once.
-        self._shard_deployments = {}
+        #: ``(server_id, services_total, container)`` of the server whose
+        #: chunks ``run_shard_unit`` is executing: a run deploys each
+        #: corpus once and keeps one server's deployment alive at a time.
+        self._deployment = None
 
     # -- Preparation Phase ---------------------------------------------------
 
@@ -95,27 +118,23 @@ class Campaign:
 
     # -- Testing Phase ---------------------------------------------------------
 
-    def run(self, progress=None, checkpoint=None):
-        """Execute the campaign; returns a :class:`CampaignResult`.
+    #: Folds unit payloads into a ``CampaignResult``.
+    merge = staticmethod(merge_run)
 
-        ``progress`` is an optional callable ``(message: str) -> None``.
-        ``checkpoint`` is an optional
-        :class:`repro.core.store.CampaignCheckpoint`: each completed
-        server is persisted atomically, and a re-run against the same
-        checkpoint skips finished servers, reproducing the exact result
-        an uninterrupted run would have produced.
+    def run(self, progress=None, checkpoint=None):
+        """Execute the campaign in-process; returns a ``CampaignResult``.
+
+        One entry into :func:`~repro.core.sharding.execute_sharded`:
+        ``progress`` is an optional callable ``(message: str) -> None``,
+        and with a :class:`~repro.core.store.CampaignCheckpoint` each
+        finished unit is persisted atomically and a re-run skips it,
+        reproducing the exact result an uninterrupted run — under any
+        worker count — would have produced.
         """
-        config = self.config
-        if checkpoint is not None:
-            checkpoint.guard("manifest", self._fingerprint())
-        result = CampaignResult(
-            server_ids=tuple(config.server_ids),
-            client_ids=tuple(config.client_ids),
-        )
-        with self._prepared_clients() as clients:
-            return self._run_servers(
-                result, clients, progress=progress, checkpoint=checkpoint
-            )
+        return execute_sharded(
+            self.shard_job(), SERIAL, checkpoint=checkpoint,
+            progress=progress, campaign=self,
+        )[0]
 
     @contextlib.contextmanager
     def _prepared_clients(self):
@@ -149,172 +168,42 @@ class Campaign:
             for client, flag, value in reversed(original_flags):
                 setattr(client, flag, value)
 
-    def _fingerprint(self):
-        config = self.config
-        return {
-            "servers": list(config.server_ids),
-            "clients": list(config.client_ids),
-            "parse_per_client": config.parse_per_client,
-            "overrides": {
-                client_id: dict(flags)
-                for client_id, flags in sorted(
-                    config.client_flag_overrides.items()
-                )
-            },
-        }
-
-    def _run_servers(self, result, clients, progress=None, checkpoint=None):
-        from repro.core.store import server_slice_from_obj, server_slice_to_obj
-
-        config = self.config
-        for server_id in config.server_ids:
-            slice_key = f"server-{server_id}"
-            if checkpoint is not None and checkpoint.has(slice_key):
-                # The server span keeps its deterministic ID even when
-                # the slice is restored; inner spans are not replayed.
-                with current_tracer().span("server", server=server_id) as span:
-                    report, records, wall = server_slice_from_obj(
-                        server_id, checkpoint.load(slice_key)
-                    )
-                    span.annotate(restored=True, recorded_wall_seconds=wall)
-                for record in records:
-                    result.add_record(record)
-                result.servers[server_id] = report
-                result.meta.setdefault("wall_seconds", {})[server_id] = wall
-                if progress:
-                    progress(f"[{server_id}] restored from checkpoint")
-                continue
-            self._run_one_server(server_id, result, clients, progress)
-            if checkpoint is not None:
-                checkpoint.save(
-                    slice_key,
-                    server_slice_to_obj(
-                        result.servers[server_id],
-                        [
-                            record
-                            for record in result.records
-                            if record.server_id == server_id
-                        ],
-                        wall_seconds=result.meta["wall_seconds"][server_id],
-                    ),
-                )
-        return result
-
-    def _run_one_server(self, server_id, result, clients, progress=None):
-        config = self.config
-        tracer = current_tracer()
-        started = time.perf_counter()
-        with tracer.span("server", server=server_id):
-            container = container_for(server_id)
-            corpus = self.corpus_for(server_id)
-            if progress:
-                progress(
-                    f"[{server_id}] deploying {len(corpus)} services on "
-                    f"{container.name} {container.version}"
-                )
-            with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(corpus)
-                deploy_span.annotate(
-                    deployed=len(container.deployed),
-                    refused=len(container.refused),
-                )
-
-            report = ServerRunReport(
-                server_id=server_id,
-                server_name=container.framework.name,
-                services_total=len(corpus),
-                deployed=len(container.deployed),
-                refused=len(container.refused),
-            )
-
-            for index, record in enumerate(container.deployed):
-                with tracer.span("service", service=record.service.name):
-                    with tracer.span("wsdl-read"):
-                        document = read_wsdl_text(record.wsdl_text)
-                    with tracer.span("wsi-check") as wsi_span:
-                        wsi = check_document(document)
-                        wsi_span.annotate(
-                            failures=len(wsi.failures),
-                            advisories=len(wsi.advisories),
-                        )
-                    if wsi.failures:
-                        report.wsi_failing.add(document.name)
-                    elif wsi.advisories:
-                        report.wsi_advisory_only.add(document.name)
-
-                    for client_id, client in clients.items():
-                        if config.parse_per_client:
-                            document_for_client = read_wsdl_text(
-                                record.wsdl_text
-                            )
-                        else:
-                            document_for_client = document
-                        with tracer.span("test", client=client_id):
-                            result.add_record(
-                                run_client_test(
-                                    server_id, client_id, client,
-                                    document_for_client,
-                                )
-                            )
-                if progress and (index + 1) % 500 == 0:
-                    progress(
-                        f"[{server_id}] tested "
-                        f"{index + 1}/{len(container.deployed)} services"
-                    )
-
-        result.servers[server_id] = report
-        result.meta.setdefault("wall_seconds", {})[server_id] = round(
-            time.perf_counter() - started, 3
-        )
-        if progress:
-            progress(
-                f"[{server_id}] done: {report.deployed} deployed, "
-                f"{report.refused} refused, {report.sdg_warnings} WS-I warnings"
-            )
-
     # -- sharded execution -----------------------------------------------------
 
     def shard_job(self, chunks_per_server=None):
         """This campaign as a :class:`~repro.core.sharding.ShardJob`."""
-        from repro.core.sharding import (
-            CAMPAIGN_RUN,
-            DEFAULT_CHUNKS_PER_SERVER,
-            ShardJob,
-        )
-
         if chunks_per_server is None:
             chunks_per_server = DEFAULT_CHUNKS_PER_SERVER
         return ShardJob(CAMPAIGN_RUN, self.config, chunks_per_server)
 
     def run_shard_unit(self, unit):
-        """Execute one (server, service-chunk) unit; JSON payload.
+        """Execute one (server, service-chunk) unit; a ``ServerSlice``.
 
         The chunk bounds are computed from the deployed-record count
         with :func:`repro.core.sharding.chunk_bounds`, so the split
         depends only on the corpus and the chunk count — never on the
         worker count — and concatenating all chunk payloads in
-        canonical order reproduces the serial record stream exactly.
+        canonical order reproduces the whole record stream exactly.
         """
-        from repro.core.sharding import chunk_bounds
-        from repro.core.store import server_slice_to_obj
-
         config = self.config
         tracer = current_tracer()
         started = time.perf_counter()
         # The unit executes a *slice* of the server, so its children
         # position under the server rollup span without emitting it —
-        # the merge (or the serial path) owns that event.  The deploy
-        # span is emitted by the chunk-0 unit only, so its place in the
-        # canonical order never depends on which worker deployed first.
+        # the trace merge owns that event.  The deploy span is emitted
+        # by the chunk-0 unit only, so its place in the canonical order
+        # never depends on which worker deployed first.
         with tracer.virtual_span("server", server=unit.server_id):
-            already_deployed = unit.server_id in self._shard_deployments
+            cached = (
+                self._deployment is not None
+                and self._deployment[0] == unit.server_id
+            )
             if unit.chunk_index == 0:
                 with tracer.span("deploy") as deploy_span:
-                    self._ensure_shard_deployment(unit.server_id)
-                    deploy_span.annotate(cached=already_deployed)
+                    services_total, container = self._deploy(unit.server_id)
+                    deploy_span.annotate(cached=cached)
             else:
-                self._ensure_shard_deployment(unit.server_id)
-            services_total, container = self._shard_deployments[unit.server_id]
+                services_total, container = self._deploy(unit.server_id)
             deployed = container.deployed
             start, stop = chunk_bounds(len(deployed), unit.chunk_count)[
                 unit.chunk_index
@@ -359,18 +248,24 @@ class Campaign:
                                         document_for_client,
                                     )
                                 )
-        return server_slice_to_obj(
-            report,
-            records,
-            wall_seconds=round(time.perf_counter() - started, 3),
-        )
+        if unit.chunk_index == unit.chunk_count - 1:
+            self._deployment = None  # the server's last chunk is done
+        wall_seconds = round(time.perf_counter() - started, 3)
+        return ServerSlice(report, records, wall_seconds=wall_seconds)
 
-    def _ensure_shard_deployment(self, server_id):
-        if server_id not in self._shard_deployments:
+    def _deploy(self, server_id):
+        """``(services_total, container)`` for ``server_id``, deployed once.
+
+        Replaces, never accumulates: the previous server's container is
+        released before the next corpus is deployed.
+        """
+        if self._deployment is None or self._deployment[0] != server_id:
+            self._deployment = None
             corpus = self.corpus_for(server_id)
             container = container_for(server_id)
             container.deploy_corpus(corpus)
-            self._shard_deployments[server_id] = (len(corpus), container)
+            self._deployment = (server_id, len(corpus), container)
+        return self._deployment[1:]
 
 
 def run_default_campaign(progress=None):

@@ -108,15 +108,21 @@ class LifecycleCampaign:
     def __init__(self, config=None, sample_per_server=None):
         self.config = config or CampaignConfig()
         self.sample_per_server = sample_per_server
+        #: Builds (and caches) the catalogs and corpora every server's
+        #: deployment draws from.
+        self.base_campaign = Campaign(self.config)
+
+    def _clients(self):
+        """The selected client frameworks, in registry order."""
+        return {
+            client_id: client
+            for client_id, client in all_client_frameworks().items()
+            if client_id in self.config.client_ids
+        }
 
     def run(self, progress=None):
         config = self.config
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in config.client_ids
-        }
-        campaign = Campaign(config)
+        clients = self._clients()
         result = LifecycleCampaignResult(
             server_ids=tuple(config.server_ids),
             client_ids=tuple(config.client_ids),
@@ -124,7 +130,7 @@ class LifecycleCampaign:
 
         for server_id in config.server_ids:
             container = container_for(server_id)
-            container.deploy_corpus(campaign.corpus_for(server_id))
+            container.deploy_corpus(self.base_campaign.corpus_for(server_id))
             deployed = container.deployed
             selected = self._select(deployed)
             result.services_per_server[server_id] = len(selected)

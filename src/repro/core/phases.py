@@ -21,14 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.appservers import container_for
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.pipeline import run_client_test
-from repro.core.results import CampaignResult, ServerRunReport
 from repro.docweb import harvest_type_names
 from repro.frameworks.registry import all_client_frameworks, all_server_frameworks
-from repro.wsdl import read_wsdl_text
-from repro.wsi import check_document
 
 
 @dataclass
@@ -111,39 +106,14 @@ class TestingPhase:
         self.preparation = preparation
 
     def run(self, progress=None):
-        preparation = self.preparation
-        config = preparation.config
-        result = CampaignResult(
-            server_ids=tuple(config.server_ids),
-            client_ids=tuple(config.client_ids),
-        )
-
-        for server_id in config.server_ids:
-            container = container_for(server_id)
-            corpus = preparation.corpora[server_id]
-            container.deploy_corpus(corpus)
-            report = ServerRunReport(
-                server_id=server_id,
-                server_name=container.framework.name,
-                services_total=len(corpus),
-                deployed=len(container.deployed),
-                refused=len(container.refused),
-            )
-            if progress:
+        """Run the campaign's Testing Phase on the prepared catalogs."""
+        campaign = Campaign(self.preparation.config)
+        campaign._catalogs.update(self.preparation.catalogs)
+        result = campaign.run(progress=progress)
+        if progress:
+            for server_id, report in result.servers.items():
                 progress(
                     f"[{server_id}] {report.deployed} deployed, "
                     f"{report.refused} refused"
                 )
-            for record in container.deployed:
-                document = read_wsdl_text(record.wsdl_text)
-                wsi = check_document(document)
-                if wsi.failures:
-                    report.wsi_failing.add(document.name)
-                elif wsi.advisories:
-                    report.wsi_advisory_only.add(document.name)
-                for client_id, client in preparation.clients.items():
-                    result.add_record(
-                        run_client_test(server_id, client_id, client, document)
-                    )
-            result.servers[server_id] = report
         return result

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -160,3 +160,41 @@ class CampaignResult:
             "comp_error_tests": comp_err,
             "error_situations": gen_err + comp_err,
         }
+
+
+def merge_run(config, ordered):
+    """Fold ``run`` unit payloads, in canonical order, into a result.
+
+    A payload is a :class:`~repro.core.store.ServerSlice`, or its JSON
+    form read back from a checkpoint.  Chunks repeat the server-level
+    counters and carry only their share of the WS-I sets: the first
+    chunk's report is copied, later chunks' sets are unioned into it.
+    """
+    from repro.core.store import ServerSlice
+
+    result = CampaignResult(
+        server_ids=tuple(config.server_ids),
+        client_ids=tuple(config.client_ids),
+    )
+    walls = {}
+    for unit, payload in ordered:
+        if isinstance(payload, dict):
+            payload = ServerSlice.from_obj(unit.server_id, payload)
+        report = payload.report
+        existing = result.servers.get(unit.server_id)
+        if existing is None:
+            result.servers[unit.server_id] = replace(
+                report,
+                wsi_failing=set(report.wsi_failing),
+                wsi_advisory_only=set(report.wsi_advisory_only),
+            )
+        else:
+            existing.wsi_failing |= report.wsi_failing
+            existing.wsi_advisory_only |= report.wsi_advisory_only
+        for record in payload.records:
+            result.add_record(record)
+        walls[unit.server_id] = round(
+            walls.get(unit.server_id, 0.0) + payload.wall_seconds, 3
+        )
+    result.meta["wall_seconds"] = walls
+    return result

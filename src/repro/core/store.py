@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 
 from repro.core.outcomes import ClientTestRecord, StepOutcome, StepStatus
 from repro.core.results import CampaignResult, ServerRunReport
@@ -178,33 +179,50 @@ def load_result(path):
 # -- checkpointing -----------------------------------------------------------
 
 
-def server_slice_to_obj(report, records, wall_seconds=0.0):
-    """One server's completed share of a campaign, JSON-compatible."""
-    full = result_to_obj(
-        _single_server_result(report, records), include_records=True
-    )
-    return {
-        "format": _FORMAT_VERSION,
-        "server": full["servers"][report.server_id],
-        "records": full["records"],
-        "wall_seconds": wall_seconds,
-    }
+@dataclass
+class ServerSlice:
+    """A ``run`` unit's payload: one chunk of one server's sweep.
 
+    The engine folds it into the result as it is; :meth:`to_obj` and
+    :meth:`from_obj` convert it only on the way into and out of a
+    checkpoint or the pool's spool.
+    """
 
-def server_slice_from_obj(server_id, obj):
-    """Rebuild ``(report, records, wall_seconds)`` for one server."""
-    if obj.get("format") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported slice format: {obj.get('format')!r}")
-    shell = result_from_obj(
-        {
+    report: ServerRunReport
+    records: list
+    wall_seconds: float = 0.0
+
+    def to_obj(self):
+        full = result_to_obj(
+            _single_server_result(self.report, self.records),
+            include_records=True,
+        )
+        return {
             "format": _FORMAT_VERSION,
-            "server_ids": [server_id],
-            "client_ids": [],
-            "servers": {server_id: obj["server"]},
-            "records": obj["records"],
+            "server": full["servers"][self.report.server_id],
+            "records": full["records"],
+            "wall_seconds": self.wall_seconds,
         }
-    )
-    return shell.servers[server_id], shell.records, obj.get("wall_seconds", 0.0)
+
+    @classmethod
+    def from_obj(cls, server_id, obj):
+        if obj.get("format") != _FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported slice format: {obj.get('format')!r}"
+            )
+        shell = result_from_obj(
+            {
+                "format": _FORMAT_VERSION,
+                "server_ids": [server_id],
+                "client_ids": [],
+                "servers": {server_id: obj["server"]},
+                "records": obj["records"],
+            }
+        )
+        return cls(
+            shell.servers[server_id], shell.records,
+            obj.get("wall_seconds", 0.0),
+        )
 
 
 def _single_server_result(report, records):
@@ -236,6 +254,10 @@ class CampaignCheckpoint:
         return os.path.exists(self._path(key))
 
     def save(self, key, obj):
+        """Persist ``obj`` atomically; an object with a ``to_obj()``
+        JSON form (a :class:`ServerSlice`) is converted first."""
+        if hasattr(obj, "to_obj"):
+            obj = obj.to_obj()
         write_json_atomic(obj, self._path(key))
 
     def load(self, key):
@@ -276,12 +298,14 @@ class QuarantineRegistry:
     A cell whose guarded step timed out or escaped with an unclassified
     exception is *poisoned*: re-executing it would stall or crash the
     sweep again.  The registry records each poisoning with its triage
-    bucket and detail, persists into a :class:`CampaignCheckpoint`
-    (key ``"quarantine"``), and lets a resumed run skip known-fatal
-    cells — they are reported as QUARANTINED, not silently dropped.
+    bucket and detail, and later cells of the triple are reported as
+    QUARANTINED, not silently dropped.  A unit's cell poisonings travel
+    in its payload; the pool's unit-level registry (a shard unit that
+    crash-looped, keyed by ``(server, unit key, campaign)``) persists
+    into a :class:`CampaignCheckpoint` under ``"pool-quarantine"``.
     """
 
-    KEY = "quarantine"
+    KEY = "pool-quarantine"
     _FORMAT = 1
 
     def __init__(self):
@@ -342,12 +366,7 @@ class QuarantineRegistry:
         return registry
 
     def save(self, checkpoint, key=None):
-        """Persist into ``checkpoint`` (a no-op when it is ``None``).
-
-        ``key`` overrides the checkpoint entry name, so independent
-        registries (cell-level fuzz quarantine, unit-level pool
-        quarantine) can share one checkpoint directory.
-        """
+        """Persist into ``checkpoint`` (a no-op when it is ``None``)."""
         if checkpoint is not None:
             checkpoint.save(key or self.KEY, self.to_obj())
 

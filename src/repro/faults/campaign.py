@@ -15,8 +15,8 @@ guarded wsdl2code + compile pipeline over the mutants, producing a
 crash-triage matrix (clean / parser-crash / resource-blowup / timeout /
 tool-internal) per (server, client, mutation kind, intensity).  Cells
 that hit a fatal bucket are quarantined via
-:class:`~repro.core.store.QuarantineRegistry` so resumed sweeps skip
-known-poison triples and report them as QUARANTINED.
+:class:`~repro.core.store.QuarantineRegistry`, so the triple's later
+mutants are skipped and reported as QUARANTINED.
 
 Everything is seeded and deterministic, and long sweeps checkpoint after
 every server so an interrupted run resumes to the identical result.
@@ -27,16 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.appservers import container_for
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
 from repro.core.extended import LifecycleCampaign
 from repro.core.outcomes import StepStatus
+from repro.core.sharding import (
+    CAMPAIGN_FUZZ,
+    CAMPAIGN_RESILIENCE,
+    SERIAL,
+    ShardJob,
+    execute_sharded,
+)
 from repro.core.store import QuarantineRegistry
 from repro.faults.corpus import DEFAULT_MUTATION_KINDS, MutationKind, WsdlMutator
 from repro.faults.plan import DEFAULT_FAULT_KINDS, FaultKind, FaultPlan, derive_seed
 from repro.faults.policies import policy_for
 from repro.faults.transport import FaultingTransport
 from repro.faults.wire import WireFaultingTransport, WireFaultKind, WireFaultPlan
-from repro.frameworks.registry import all_client_frameworks
 from repro.obs.trace import current_tracer
 from repro.runtime import (
     InMemoryHttpTransport,
@@ -178,12 +184,6 @@ class ResilienceCampaignResult:
     def cell(self, server_id, client_id, kind, rate):
         return self.cells[_cell_key(server_id, client_id, kind, rate)]
 
-    def ensure_cell(self, server_id, client_id, kind, rate):
-        key = _cell_key(server_id, client_id, kind, rate)
-        if key not in self.cells:
-            self.cells[key] = ResilienceCellStats()
-        return self.cells[key]
-
     @property
     def tests_executed(self):
         return sum(cell.tests for cell in self.cells.values())
@@ -268,6 +268,26 @@ def resilience_result_from_obj(obj):
     return result
 
 
+def merge_resilience(rconfig, ordered):
+    """Fold resilience unit payloads, in canonical order, into a result."""
+    result = ResilienceCampaignResult(
+        server_ids=tuple(rconfig.base.server_ids),
+        client_ids=tuple(rconfig.base.client_ids),
+        fault_kinds=tuple(
+            fault_kind_of(kind).value for kind in rconfig.fault_kinds
+        ),
+        rates=tuple(repr(float(rate)) for rate in rconfig.rates),
+        seed=rconfig.seed,
+    )
+    for unit, data in ordered:
+        result.services_per_server[unit.server_id] = data["services"]
+        for key, cell in data["cells"].items():
+            result.cells[tuple(key.split("|"))] = (
+                ResilienceCellStats.from_obj(cell)
+            )
+    return result
+
+
 class ResilienceCampaign(LifecycleCampaign):
     """Sweeps fault kinds and rates over the five-step lifecycle.
 
@@ -292,92 +312,53 @@ class ResilienceCampaign(LifecycleCampaign):
             sample_per_server=self.rconfig.sample_per_server,
         )
 
+    #: Folds unit payloads into a ``ResilienceCampaignResult``.
+    merge = staticmethod(merge_resilience)
+
     def run(self, progress=None, checkpoint=None):
-        rconfig = self.rconfig
-        base = rconfig.base
-        if checkpoint is not None:
-            checkpoint.guard("manifest", rconfig.fingerprint())
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = Campaign(base)
-        result = ResilienceCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-            fault_kinds=tuple(
-                fault_kind_of(kind).value for kind in rconfig.fault_kinds
-            ),
-            rates=tuple(repr(float(rate)) for rate in rconfig.rates),
-            seed=rconfig.seed,
-        )
+        """Execute the sweep in-process; see :meth:`Campaign.run`."""
+        return execute_sharded(
+            self.shard_job(), SERIAL, checkpoint=checkpoint,
+            progress=progress, campaign=self,
+        )[0]
 
-        for server_id in base.server_ids:
-            slice_key = f"resilience-{server_id}"
-            if checkpoint is not None and checkpoint.has(slice_key):
-                data = checkpoint.load(slice_key)
-                result.services_per_server[server_id] = data["services"]
-                for key, cell in data["cells"].items():
-                    result.cells[tuple(key.split("|"))] = (
-                        ResilienceCellStats.from_obj(cell)
-                    )
-                if progress:
-                    progress(f"[{server_id}] restored from checkpoint")
-                continue
+    def shard_job(self):
+        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
 
-            services, server_cells = self._sweep_server(
-                server_id, clients, campaign, result, progress
-            )
-            if checkpoint is not None:
-                checkpoint.save(
-                    slice_key,
-                    {
-                        "services": services,
-                        "cells": {
-                            "|".join(key): cell.to_obj()
-                            for key, cell in server_cells.items()
-                        },
-                    },
-                )
-        return result
+        One unit per server: within a server the circuit breaker
+        accumulates state across services, so a finer split would
+        change outcomes.
+        """
+        return ShardJob(CAMPAIGN_RESILIENCE, self.rconfig, 1)
 
-    def _sweep_server(self, server_id, clients, campaign, result,
-                      progress=None):
+    def run_shard_unit(self, unit):
         """Deploy one server and sweep every (kind, rate, client) cell.
 
-        Returns ``(services, server_cells)``, the ingredients of the
-        per-server checkpoint slice and the sharded unit payload.
+        Returns the unit payload: the sampled service count and the
+        server's cells.
         """
         rconfig = self.rconfig
+        server_id = unit.server_id
+        clients = self._clients()
         tracer = current_tracer()
-        # One shard unit covers the whole server, so the server span is
-        # real on both the serial and the sharded path (the merge
-        # dedupes by span ID).
+        cells = {}
+        # One unit covers the whole server, so the server span is real.
         with tracer.span("server", server=server_id):
             container = container_for(server_id)
             with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(campaign.corpus_for(server_id))
+                container.deploy_corpus(
+                    self.base_campaign.corpus_for(server_id)
+                )
                 deploy_span.annotate(deployed=len(container.deployed))
             selected = self._select(container.deployed)
-            result.services_per_server[server_id] = len(selected)
-            if progress:
-                progress(
-                    f"[{server_id}] fault sweep over {len(selected)} services, "
-                    f"{len(rconfig.fault_kinds)} kinds x {len(rconfig.rates)} rates"
-                )
-
-            server_cells = {}
             for kind in rconfig.fault_kinds:
                 kind = fault_kind_of(kind)
                 for rate in rconfig.rates:
                     for client_id, client in clients.items():
-                        cell = result.ensure_cell(
-                            server_id, client_id, kind, rate
+                        cell = ResilienceCellStats()
+                        cells[_cell_key(server_id, client_id, kind, rate)] = (
+                            cell
                         )
-                        server_cells[
-                            _cell_key(server_id, client_id, kind, rate)
-                        ] = cell
                         with tracer.span(
                             "cell", client=client_id, kind=kind.value,
                             rate=repr(float(rate)),
@@ -390,55 +371,12 @@ class ResilienceCampaign(LifecycleCampaign):
                                 tests=cell.tests, completed=cell.completed,
                                 retries=cell.retries,
                             )
-                    if progress:
-                        progress(
-                            f"[{server_id}] {kind.value} @ {rate:g} done"
-                        )
-        return len(selected), server_cells
-
-    # -- sharded execution -----------------------------------------------------
-
-    def shard_job(self):
-        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
-
-        One unit per server: within a server the circuit breaker
-        accumulates state across services, so a finer split would
-        change outcomes relative to the serial sweep.
-        """
-        from repro.core.sharding import CAMPAIGN_RESILIENCE, ShardJob
-
-        return ShardJob(CAMPAIGN_RESILIENCE, self.rconfig, 1)
-
-    def run_shard_unit(self, unit):
-        """Execute one whole-server unit; the checkpoint-slice payload."""
-        base = self.rconfig.base
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = self._shard_campaign()
-        result = ResilienceCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-        )
-        services, server_cells = self._sweep_server(
-            unit.server_id, clients, campaign, result
-        )
         return {
-            "services": services,
+            "services": len(selected),
             "cells": {
-                "|".join(key): cell.to_obj()
-                for key, cell in server_cells.items()
+                "|".join(key): cell.to_obj() for key, cell in cells.items()
             },
         }
-
-    def _shard_campaign(self):
-        """A cached base campaign, so a worker builds catalogs once."""
-        campaign = getattr(self, "_shard_campaign_cache", None)
-        if campaign is None:
-            campaign = self._shard_campaign_cache = Campaign(self.rconfig.base)
-        return campaign
 
     def _run_cell(self, cell, server_id, client_id, client, kind, rate,
                   selected):
@@ -632,12 +570,6 @@ class FuzzCampaignResult:
     def cell(self, server_id, client_id, kind, intensity):
         return self.cells[_fuzz_cell_key(server_id, client_id, kind, intensity)]
 
-    def ensure_cell(self, server_id, client_id, kind, intensity):
-        key = _fuzz_cell_key(server_id, client_id, kind, intensity)
-        if key not in self.cells:
-            self.cells[key] = FuzzCellStats()
-        return self.cells[key]
-
     @property
     def mutants_executed(self):
         return sum(cell.mutants for cell in self.cells.values())
@@ -712,6 +644,35 @@ def fuzz_result_from_obj(obj):
     return result
 
 
+def merge_fuzz(fconfig, ordered):
+    """Fold fuzz unit payloads, in canonical order, into a result.
+
+    A unit aborted by ``fail_fast`` ends the fold: the sweep stops
+    there, so later units are neither merged nor — in-process — run.
+    """
+    result = FuzzCampaignResult(
+        server_ids=tuple(fconfig.base.server_ids),
+        client_ids=tuple(fconfig.base.client_ids),
+        mutation_kinds=tuple(
+            MutationKind(kind).value for kind in fconfig.mutation_kinds
+        ),
+        intensities=tuple(repr(float(i)) for i in fconfig.intensities),
+        seed=fconfig.seed,
+    )
+    registry = QuarantineRegistry()
+    for unit, data in ordered:
+        result.services_per_server[unit.server_id] = data["services"]
+        for key, cell in data["cells"].items():
+            result.cells[tuple(key.split("|"))] = FuzzCellStats.from_obj(cell)
+        for entry in data["quarantine"]:
+            registry.poison(*entry)
+        if not data["finished"]:
+            result.aborted = True
+            break
+    result.quarantine = registry.entries()
+    return result
+
+
 def _read_mutant(text, xml_limits):
     """The wsdl2code front door: parse the (corrupted) description."""
     return read_wsdl(parse_xml(text, limits=xml_limits))
@@ -725,8 +686,8 @@ class FuzzCampaign(LifecycleCampaign):
     (kind, intensity, index) with a label-derived seed, and every client
     runs its guarded read → generate → compile pipeline over the
     mutant.  The verdicts land in a crash-triage matrix, fatal buckets
-    poison the (server, service, client) triple, and both the matrix
-    slices and the quarantine registry checkpoint after every server.
+    poison the (server, service, client) triple, and each server's
+    cells and poison entries checkpoint together as one unit payload.
     """
 
     def __init__(self, config=None):
@@ -736,153 +697,63 @@ class FuzzCampaign(LifecycleCampaign):
             sample_per_server=self.fconfig.sample_per_server,
         )
 
+    #: Folds unit payloads into a ``FuzzCampaignResult``.
+    merge = staticmethod(merge_fuzz)
+
     def run(self, progress=None, checkpoint=None):
-        fconfig = self.fconfig
-        base = fconfig.base
-        if checkpoint is not None:
-            checkpoint.guard("manifest", fconfig.fingerprint())
-        quarantine = QuarantineRegistry.load(checkpoint)
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = Campaign(base)
-        mutator = WsdlMutator(fconfig.seed)
-        limits = fconfig.guard_limits()
-        result = FuzzCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-            mutation_kinds=tuple(
-                MutationKind(kind).value for kind in fconfig.mutation_kinds
-            ),
-            intensities=tuple(repr(float(i)) for i in fconfig.intensities),
-            seed=fconfig.seed,
-        )
-
-        for server_id in base.server_ids:
-            slice_key = f"fuzz-{server_id}"
-            if checkpoint is not None and checkpoint.has(slice_key):
-                data = checkpoint.load(slice_key)
-                result.services_per_server[server_id] = data["services"]
-                for key, cell in data["cells"].items():
-                    result.cells[tuple(key.split("|"))] = (
-                        FuzzCellStats.from_obj(cell)
-                    )
-                if progress:
-                    progress(f"[{server_id}] restored from checkpoint")
-                continue
-
-            services, server_cells, finished = self._fuzz_one_server(
-                server_id, clients, campaign, mutator, limits,
-                result, quarantine, progress,
-            )
-            if checkpoint is not None:
-                quarantine.save(checkpoint)
-                if finished:
-                    checkpoint.save(
-                        slice_key,
-                        {
-                            "services": services,
-                            "cells": {
-                                "|".join(key): cell.to_obj()
-                                for key, cell in server_cells.items()
-                            },
-                        },
-                    )
-            if not finished:
-                result.aborted = True
-                break
-        result.quarantine = quarantine.entries()
-        return result
-
-    def _fuzz_one_server(self, server_id, clients, campaign, mutator, limits,
-                         result, quarantine, progress=None):
-        """Deploy and fuzz one server.
-
-        Returns ``(services, server_cells, finished)``, the ingredients
-        of the per-server checkpoint slice and the sharded unit payload.
-        """
-        fconfig = self.fconfig
-        tracer = current_tracer()
-        with tracer.span("server", server=server_id) as server_span:
-            container = container_for(server_id)
-            with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(campaign.corpus_for(server_id))
-                deploy_span.annotate(deployed=len(container.deployed))
-            selected = self._select(container.deployed)
-            result.services_per_server[server_id] = len(selected)
-            if progress:
-                progress(
-                    f"[{server_id}] fuzzing {len(selected)} services: "
-                    f"{len(fconfig.mutation_kinds)} kinds x "
-                    f"{len(fconfig.intensities)} intensities x "
-                    f"{fconfig.mutants_per_config} mutants"
-                )
-            server_cells = {}
-            finished = self._fuzz_server(
-                server_id, selected, clients, mutator, limits,
-                result, server_cells, quarantine, progress,
-            )
-            if not finished:
-                server_span.annotate(aborted=True)
-        return len(selected), server_cells, finished
-
-    # -- sharded execution -----------------------------------------------------
+        """Execute the sweep in-process; see :meth:`Campaign.run`."""
+        return execute_sharded(
+            self.shard_job(), SERIAL, checkpoint=checkpoint,
+            progress=progress, campaign=self,
+        )[0]
 
     def shard_job(self):
         """This sweep as a :class:`~repro.core.sharding.ShardJob`.
 
         One unit per server: quarantine triples are keyed by server, so
-        whole-server units keep poisoning semantics identical to the
-        serial sweep.
+        whole-server units keep poisoning semantics self-contained.
         """
-        from repro.core.sharding import CAMPAIGN_FUZZ, ShardJob
-
         return ShardJob(CAMPAIGN_FUZZ, self.fconfig, 1)
 
     def run_shard_unit(self, unit):
-        """Execute one whole-server unit; the checkpoint-slice payload
-        plus this server's quarantine entries and fail-fast verdict."""
+        """Deploy and fuzz one server.
+
+        Returns the unit payload: the sampled service count, the
+        server's cells, its quarantine entries and whether it finished
+        (``False`` when ``fail_fast`` aborted it).
+        """
         fconfig = self.fconfig
-        base = fconfig.base
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = self._shard_campaign()
+        tracer = current_tracer()
+        cells = {}
         quarantine = QuarantineRegistry()
-        result = FuzzCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-        )
-        services, server_cells, finished = self._fuzz_one_server(
-            unit.server_id, clients, campaign,
-            WsdlMutator(fconfig.seed), fconfig.guard_limits(),
-            result, quarantine,
-        )
+        with tracer.span("server", server=unit.server_id) as server_span:
+            container = container_for(unit.server_id)
+            with tracer.span("deploy") as deploy_span:
+                container.deploy_corpus(
+                    self.base_campaign.corpus_for(unit.server_id)
+                )
+                deploy_span.annotate(deployed=len(container.deployed))
+            selected = self._select(container.deployed)
+            finished = self._fuzz_server(
+                unit.server_id, selected, cells, quarantine
+            )
+            if not finished:
+                server_span.annotate(aborted=True)
         return {
-            "services": services,
+            "services": len(selected),
             "cells": {
-                "|".join(key): cell.to_obj()
-                for key, cell in server_cells.items()
+                "|".join(key): cell.to_obj() for key, cell in cells.items()
             },
             "quarantine": [list(entry) for entry in quarantine.entries()],
             "finished": finished,
         }
 
-    def _shard_campaign(self):
-        """A cached base campaign, so a worker builds catalogs once."""
-        campaign = getattr(self, "_shard_campaign_cache", None)
-        if campaign is None:
-            campaign = self._shard_campaign_cache = Campaign(self.fconfig.base)
-        return campaign
-
-    def _fuzz_server(self, server_id, selected, clients, mutator, limits,
-                     result, server_cells, quarantine, progress):
-        """Fuzz one server; returns False when fail-fast aborted it."""
+    def _fuzz_server(self, server_id, selected, cells, quarantine):
+        """Fuzz one server's sample; returns False when fail-fast aborted."""
         fconfig = self.fconfig
+        clients = self._clients()
+        mutator = WsdlMutator(fconfig.seed)
+        limits = fconfig.guard_limits()
         tracer = current_tracer()
         for record in selected:
             service_name = record.service.name
@@ -895,14 +766,12 @@ class FuzzCampaign(LifecycleCampaign):
                             server_id, service_name, index,
                         )
                         for client_id, client in clients.items():
-                            cell = result.ensure_cell(
+                            key = _fuzz_cell_key(
                                 server_id, client_id, kind, intensity
                             )
-                            server_cells[
-                                _fuzz_cell_key(
-                                    server_id, client_id, kind, intensity
-                                )
-                            ] = cell
+                            cell = cells.get(key)
+                            if cell is None:
+                                cell = cells[key] = FuzzCellStats()
                             with tracer.span(
                                 "mutant", service=service_name,
                                 client=client_id, kind=kind.value,
@@ -935,8 +804,6 @@ class FuzzCampaign(LifecycleCampaign):
                                     and bucket is TriageBucket.TOOL_INTERNAL
                                 ):
                                     return False
-            if progress:
-                progress(f"[{server_id}] {service_name} fuzzed")
         return True
 
     def _drive(self, mutant, client, limits):

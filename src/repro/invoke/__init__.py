@@ -12,7 +12,6 @@ and quarantine of fatal cells.
 """
 
 from repro.invoke.campaign import (
-    INVOKE_QUARANTINE_KEY,
     InvocationCampaign,
     InvocationCampaignConfig,
     InvocationCampaignResult,
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_CLASSES",
     "Fidelity",
     "FieldShape",
-    "INVOKE_QUARANTINE_KEY",
     "InvocationCampaign",
     "InvocationCampaignConfig",
     "InvocationCampaignResult",

@@ -7,9 +7,9 @@ transport → server path and triages each round trip with the total
 fidelity taxonomy of :mod:`repro.invoke.fidelity`.  The result is a
 fidelity matrix per (server, client, payload class) — the data-plane
 companion to the control-plane matrices of the run/resilience/fuzz
-campaigns, with the same platform guarantees: per-server checkpoint
-slices behind a fingerprint guard, whole-server shard units that merge
-byte-identically to the serial sweep, and quarantine of fatal
+campaigns, run by the same engine with the same guarantees:
+whole-server units checkpointed behind a fingerprint guard, a merge
+that is byte-identical for any worker count, and quarantine of fatal
 (server, service, client, payload-class) cells.
 """
 
@@ -20,10 +20,15 @@ from fnmatch import fnmatch
 from dataclasses import dataclass, field, fields
 
 from repro.appservers import container_for
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
 from repro.core.extended import LifecycleCampaign
+from repro.core.sharding import (
+    CAMPAIGN_INVOKE,
+    SERIAL,
+    ShardJob,
+    execute_sharded,
+)
 from repro.core.store import QuarantineRegistry
-from repro.frameworks.registry import all_client_frameworks
 from repro.invoke.fidelity import (
     Fidelity,
     Triage,
@@ -44,11 +49,6 @@ from repro.runtime.lifecycle import prepare_client_proxy
 from repro.runtime.wire import transport_factory_for
 
 _INVOKE_FORMAT = 1
-
-#: Checkpoint key of the invocation quarantine; separate from the fuzz
-#: sweep's ``"quarantine"`` and the pool's ``"pool-quarantine"`` so all
-#: three can share one checkpoint directory.
-INVOKE_QUARANTINE_KEY = "invoke-quarantine"
 
 
 @dataclass
@@ -184,18 +184,6 @@ class InvocationCampaignResult:
     def cell(self, server_id, client_id, payload_class):
         return self.cells[_invoke_cell_key(server_id, client_id, payload_class)]
 
-    def ensure_cell(self, server_id, client_id, payload_class):
-        key = _invoke_cell_key(server_id, client_id, payload_class)
-        if key not in self.cells:
-            self.cells[key] = InvocationCellStats()
-        return self.cells[key]
-
-    def ensure_gate(self, server_id, client_id):
-        key = f"{server_id}|{client_id}"
-        if key not in self.gates:
-            self.gates[key] = {"services": 0, "invoked": 0, "gate_failed": 0}
-        return self.gates[key]
-
     @property
     def payloads_executed(self):
         return sum(cell.payloads for cell in self.cells.values())
@@ -272,6 +260,31 @@ def invoke_result_from_obj(obj):
     return result
 
 
+def merge_invoke(iconfig, ordered):
+    """Fold invocation unit payloads, in canonical order, into a result."""
+    result = InvocationCampaignResult(
+        server_ids=tuple(iconfig.base.server_ids),
+        client_ids=tuple(iconfig.base.client_ids),
+        payload_classes=tuple(
+            PayloadClass(cls).value for cls in iconfig.payload_classes
+        ),
+        seed=iconfig.seed,
+    )
+    registry = QuarantineRegistry()
+    for unit, data in ordered:
+        result.services_per_server[unit.server_id] = data["services"]
+        for key, value in data["gates"].items():
+            result.gates[key] = dict(value)
+        for key, cell in data["cells"].items():
+            result.cells[tuple(key.split("|"))] = (
+                InvocationCellStats.from_obj(cell)
+            )
+        for entry in data["quarantine"]:
+            registry.poison(*entry)
+    result.quarantine = registry.entries()
+    return result
+
+
 class InvocationCampaign(LifecycleCampaign):
     """Sweeps schema-derived payloads over every surviving cell.
 
@@ -306,68 +319,20 @@ class InvocationCampaign(LifecycleCampaign):
             payloads_per_class=iconfig.payloads_per_class,
         )
 
+    #: Folds unit payloads into an ``InvocationCampaignResult``.
+    merge = staticmethod(merge_invoke)
+
     def run(self, progress=None, checkpoint=None):
-        iconfig = self.iconfig
-        base = iconfig.base
-        if checkpoint is not None:
-            checkpoint.guard("manifest", iconfig.fingerprint())
-        quarantine = QuarantineRegistry.load(
-            checkpoint, key=INVOKE_QUARANTINE_KEY
-        )
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = Campaign(base)
-        generator = self._generator()
-        limits = iconfig.guard_limits()
-        result = InvocationCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-            payload_classes=tuple(
-                PayloadClass(cls).value for cls in iconfig.payload_classes
-            ),
-            seed=iconfig.seed,
-        )
-
-        for server_id in base.server_ids:
-            slice_key = f"invoke-{server_id}"
-            if checkpoint is not None and checkpoint.has(slice_key):
-                data = checkpoint.load(slice_key)
-                result.services_per_server[server_id] = data["services"]
-                for key, value in data["gates"].items():
-                    result.gates[key] = dict(value)
-                for key, cell in data["cells"].items():
-                    result.cells[tuple(key.split("|"))] = (
-                        InvocationCellStats.from_obj(cell)
-                    )
-                if progress:
-                    progress(f"[{server_id}] restored from checkpoint")
-                continue
-
-            services, server_cells, server_gates = self._invoke_one_server(
-                server_id, clients, campaign, generator, limits,
-                result, quarantine, progress,
-            )
-            if checkpoint is not None:
-                quarantine.save(checkpoint, key=INVOKE_QUARANTINE_KEY)
-                checkpoint.save(
-                    slice_key,
-                    {
-                        "services": services,
-                        "gates": server_gates,
-                        "cells": {
-                            "|".join(key): cell.to_obj()
-                            for key, cell in server_cells.items()
-                        },
-                    },
-                )
-        result.quarantine = quarantine.entries()
-        if progress and not result.services_matched and iconfig.service_filter:
+        """Execute the sweep in-process; see :meth:`Campaign.run`."""
+        result = execute_sharded(
+            self.shard_job(), SERIAL, checkpoint=checkpoint,
+            progress=progress, campaign=self,
+        )[0]
+        if progress and not result.services_matched \
+                and self.iconfig.service_filter:
             progress(
                 f"no deployed service matches filter "
-                f"{iconfig.service_filter!r}; empty fidelity matrix"
+                f"{self.iconfig.service_filter!r}; empty fidelity matrix"
             )
         return result
 
@@ -382,56 +347,9 @@ class InvocationCampaign(LifecycleCampaign):
             ]
         return selected
 
-    def _invoke_one_server(self, server_id, clients, campaign, generator,
-                           limits, result, quarantine, progress=None):
-        """Deploy one server and invoke every surviving cell.
-
-        Returns ``(services, server_cells, server_gates)``, the
-        ingredients of the per-server checkpoint slice and the sharded
-        unit payload.
-        """
-        iconfig = self.iconfig
-        tracer = current_tracer()
-        with tracer.span("server", server=server_id):
-            container = container_for(server_id)
-            with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(campaign.corpus_for(server_id))
-                deploy_span.annotate(deployed=len(container.deployed))
-            selected = self._selected_records(container)
-            result.services_per_server[server_id] = len(selected)
-            if progress:
-                progress(
-                    f"[{server_id}] invoking {len(selected)} services: "
-                    f"{len(iconfig.payload_classes)} payload classes x "
-                    f"{iconfig.payloads_per_class} payloads"
-                )
-
-            server_cells = {}
-            server_gates = {}
-            for record in selected:
-                service_name = record.service.name
-                payloads = generator.generate(record.wsdl, service_name)
-                shape = {
-                    shape_field.name: shape_field
-                    for shape_field in request_shape(record.wsdl)
-                }
-                with tracer.span("service", service=service_name):
-                    for client_id, client in clients.items():
-                        gate_stats = result.ensure_gate(server_id, client_id)
-                        server_gates[f"{server_id}|{client_id}"] = gate_stats
-                        gate_stats["services"] += 1
-                        self._invoke_cell(
-                            server_id, service_name, record, client_id,
-                            client, payloads, shape, limits,
-                            result, server_cells, gate_stats, quarantine,
-                        )
-                if progress:
-                    progress(f"[{server_id}] {service_name} invoked")
-        return len(selected), server_cells, server_gates
-
     def _invoke_cell(self, server_id, service_name, record, client_id,
-                     client, payloads, shape, limits, result, server_cells,
-                     gate_stats, quarantine):
+                     client, payloads, shape, limits, cells, gate_stats,
+                     quarantine):
         """Drive the whole payload family through one (service, client)."""
         tracer = current_tracer()
         with tracer.span("cell", service=service_name, client=client_id) as span:
@@ -439,15 +357,15 @@ class InvocationCampaign(LifecycleCampaign):
             try:
                 self._invoke_payloads(
                     transport, server_id, service_name, record, client_id,
-                    client, payloads, shape, limits, result, server_cells,
-                    gate_stats, quarantine, span,
+                    client, payloads, shape, limits, cells, gate_stats,
+                    quarantine, span,
                 )
             finally:
                 close_transport(transport)
 
     def _invoke_payloads(self, transport, server_id, service_name, record,
-                         client_id, client, payloads, shape, limits, result,
-                         server_cells, gate_stats, quarantine, span):
+                         client_id, client, payloads, shape, limits, cells,
+                         gate_stats, quarantine, span):
         tracer = current_tracer()
         gate = prepare_client_proxy(
             record, client, client_id=client_id,
@@ -460,12 +378,10 @@ class InvocationCampaign(LifecycleCampaign):
         gate_stats["invoked"] += 1
         operation = gate.document.operations[0].name
         for payload in payloads:
-            cell = result.ensure_cell(
-                server_id, client_id, payload.payload_class
-            )
-            server_cells[
-                _invoke_cell_key(server_id, client_id, payload.payload_class)
-            ] = cell
+            key = _invoke_cell_key(server_id, client_id, payload.payload_class)
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = InvocationCellStats()
             qclient = _quarantine_client(client_id, payload.payload_class)
             with tracer.span(
                 "invoke", payload=payload.label, digest=payload.digest,
@@ -509,47 +425,56 @@ class InvocationCampaign(LifecycleCampaign):
         """This sweep as a :class:`~repro.core.sharding.ShardJob`.
 
         One unit per server: quarantine entries are keyed by server, so
-        whole-server units keep poisoning semantics identical to the
-        serial sweep.
+        whole-server units keep poisoning semantics self-contained.
         """
-        from repro.core.sharding import CAMPAIGN_INVOKE, ShardJob
-
         return ShardJob(CAMPAIGN_INVOKE, self.iconfig, 1)
 
     def run_shard_unit(self, unit):
-        """Execute one whole-server unit; the checkpoint-slice payload
-        plus this server's quarantine entries."""
-        base = self.iconfig.base
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = self._shard_campaign()
+        """Deploy one server and invoke every surviving cell.
+
+        Returns the unit payload: the sampled service count, the
+        server's gate counters and cells, and its quarantine entries.
+        """
+        server_id = unit.server_id
+        clients = self._clients()
+        generator = self._generator()
+        limits = self.iconfig.guard_limits()
+        tracer = current_tracer()
+        cells = {}
+        gates = {}
         quarantine = QuarantineRegistry()
-        result = InvocationCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-        )
-        services, server_cells, server_gates = self._invoke_one_server(
-            unit.server_id, clients, campaign,
-            self._generator(), self.iconfig.guard_limits(),
-            result, quarantine,
-        )
+        with tracer.span("server", server=server_id):
+            container = container_for(server_id)
+            with tracer.span("deploy") as deploy_span:
+                container.deploy_corpus(
+                    self.base_campaign.corpus_for(server_id)
+                )
+                deploy_span.annotate(deployed=len(container.deployed))
+            selected = self._selected_records(container)
+            for record in selected:
+                service_name = record.service.name
+                payloads = generator.generate(record.wsdl, service_name)
+                shape = {
+                    shape_field.name: shape_field
+                    for shape_field in request_shape(record.wsdl)
+                }
+                with tracer.span("service", service=service_name):
+                    for client_id, client in clients.items():
+                        gate_stats = gates.setdefault(
+                            f"{server_id}|{client_id}",
+                            {"services": 0, "invoked": 0, "gate_failed": 0},
+                        )
+                        gate_stats["services"] += 1
+                        self._invoke_cell(
+                            server_id, service_name, record, client_id,
+                            client, payloads, shape, limits, cells,
+                            gate_stats, quarantine,
+                        )
         return {
-            "services": services,
-            "gates": server_gates,
+            "services": len(selected),
+            "gates": gates,
             "cells": {
-                "|".join(key): cell.to_obj()
-                for key, cell in server_cells.items()
+                "|".join(key): cell.to_obj() for key, cell in cells.items()
             },
             "quarantine": [list(entry) for entry in quarantine.entries()],
-            "finished": True,
         }
-
-    def _shard_campaign(self):
-        """A cached base campaign, so a worker builds catalogs once."""
-        campaign = getattr(self, "_shard_campaign_cache", None)
-        if campaign is None:
-            campaign = self._shard_campaign_cache = Campaign(self.iconfig.base)
-        return campaign

@@ -245,8 +245,8 @@ class Tracer:
 
         A shard unit executes a *slice* of a server: its child spans
         must parent to the server span, but the unit must not emit a
-        server event covering only its slice — the merge (or the serial
-        path) owns that event.
+        server event covering only its slice — the collector's merge
+        synthesizes that event.
         """
         return Span(self, name, attrs, False)
 
@@ -276,6 +276,18 @@ class Tracer:
                 )
             )
             self._observe(span)
+
+    def adopt(self, events, metrics):
+        """Append a merged sweep's span events and metrics.
+
+        :func:`repro.core.sharding.execute_sharded` runs every unit under
+        a tracer of its own; a tracer active around the sweep receives
+        the canonical-order merge of those streams here, so it ends up
+        holding the sweep's events just as if it had observed them.
+        """
+        self.flush()
+        self._events.extend(events)
+        self.metrics.merge(metrics)
 
     def emit_root(self, name="campaign", **notes):
         """Close the trace: emit the root span covering the whole run."""
@@ -367,21 +379,21 @@ def activate(tracer):
         _ACTIVE = previous
 
 
-# -- cross-process merge -------------------------------------------------------
+# -- per-unit merge ------------------------------------------------------------
 
 
 class TraceCollector:
-    """Supervisor-side assembly of one sharded run's trace.
+    """Engine-side assembly of one sweep's trace.
 
-    Workers buffer span events and a metrics snapshot per unit and ship
-    them with the unit's acknowledgement; the collector stores them by
-    unit key and, once the sweep completes, folds them back **in
+    Every unit runs under a tracer of its own — in a pool worker, which
+    ships the buffered span events and a metrics snapshot with the
+    unit's acknowledgement, or in-process — and the collector stores
+    them by unit key.  Once the sweep completes it folds them back **in
     canonical shard order** — the same order the payload merge walks —
-    so the merged event stream is identical for any worker count and
-    matches the serial emission order.  Server spans no unit emitted
-    (chunked campaigns execute slices) are synthesized from the unit
-    wall clocks; the root span is appended last, exactly as a serial
-    tracer would emit it.
+    so the merged event stream is identical for any worker count.
+    Server spans no unit emitted (chunked campaigns execute slices) are
+    synthesized from the unit wall clocks; the root span is appended
+    last.
     """
 
     def __init__(self, trace_id):
@@ -404,13 +416,15 @@ class TraceCollector:
         if snapshot:
             self.metrics_by_unit[unit_key] = snapshot
 
-    def finalize(self, units, wall_seconds=0.0):
+    def finalize(self, units, wall_seconds=0.0, root=True):
         """Merge per-unit streams in canonical order.
 
         ``units`` is the canonical unit list *already truncated* to the
         units whose payloads contribute to the merged result (poisoned
         and post-abort units excluded), so the trace always describes
-        exactly the merged campaign result.
+        exactly the merged campaign result.  ``root=False`` leaves the
+        root span to a tracer that adopts the merge (see
+        :meth:`Tracer.adopt`) and emits its own.
         """
         seen = set()
         merged = []
@@ -452,14 +466,15 @@ class TraceCollector:
                 self.metrics.observe("span_ms", wall_ms, name="server")
                 self.metrics.inc("spans_total", name="server")
 
-        root_ms = round(wall_seconds * 1000.0, 3)
-        push(
-            _span_event(
-                root_span_id(self.trace_id), "", "campaign", {},
-                {"merged": True}, root_ms, t0_ms=0.0,
+        if root:
+            root_ms = round(wall_seconds * 1000.0, 3)
+            push(
+                _span_event(
+                    root_span_id(self.trace_id), "", "campaign", {},
+                    {"merged": True}, root_ms, t0_ms=0.0,
+                )
             )
-        )
-        self.metrics.observe("span_ms", root_ms, name="campaign")
-        self.metrics.inc("spans_total", name="campaign")
+            self.metrics.observe("span_ms", root_ms, name="campaign")
+            self.metrics.inc("spans_total", name="campaign")
         self.events = merged
         return merged

@@ -30,8 +30,6 @@ from repro.regress.runner import (
     accept,
     build_configs,
     build_report,
-    campaign_of,
-    fingerprint_of,
     run_sweep,
     run_sweeps,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "accept",
     "build_configs",
     "build_report",
-    "campaign_of",
-    "fingerprint_of",
     "run_sweep",
     "run_sweeps",
 ]

@@ -1,8 +1,9 @@
 """The regression fleet: sweep, snapshot, diff, drill, gate.
 
 One :func:`run_sweeps` call executes any subset of the four campaign
-types (serial or under the worker pool, checkpoint/resume-capable via
-per-campaign checkpoint subdirectories) and canonicalizes each result.
+types through the sweep engine (in-process or under the worker pool,
+checkpoint/resume-capable via per-campaign checkpoint subdirectories)
+and canonicalizes each result.
 :func:`build_report` then either *promotes* the snapshots as the new
 accepted baseline (``--accept``) or diffs them against the accepted one
 and attaches drill-downs to what changed.
@@ -68,32 +69,6 @@ def build_configs(campaigns, base, seed=DEFAULT_SEED, sample=2,
     return configs
 
 
-def campaign_of(kind, config):
-    """Instantiate the campaign object for ``kind``."""
-    if kind == "run":
-        from repro.core.campaign import Campaign
-
-        return Campaign(config)
-    if kind == "resilience":
-        from repro.faults import ResilienceCampaign
-
-        return ResilienceCampaign(config)
-    if kind == "fuzz":
-        from repro.faults import FuzzCampaign
-
-        return FuzzCampaign(config)
-    from repro.invoke import InvocationCampaign
-
-    return InvocationCampaign(config)
-
-
-def fingerprint_of(kind, config):
-    """The campaign-level fingerprint guarding baselines and resumes."""
-    if kind == "run":
-        return campaign_of(kind, config)._fingerprint()
-    return config.fingerprint()
-
-
 def _checkpoint_for(checkpoint_dir, kind):
     """Each campaign guards its checkpoint manifest under the same key,
     so a shared regress checkpoint directory gets one subdir per kind."""
@@ -106,26 +81,24 @@ def _checkpoint_for(checkpoint_dir, kind):
 
 def run_sweep(kind, config, workers=1, checkpoint_dir=None, progress=None,
               pool_stats=None):
-    """Execute one campaign sweep, serial or pooled, resume-capable.
+    """Execute one campaign sweep through the engine, resume-capable.
 
-    ``pool_stats`` is an optional dict collecting per-kind pool run
-    statistics for the CLI summary.  The merged pooled result is
-    byte-identical to the serial one, so the canonical matrix — and
-    therefore the drift report — does not depend on ``workers``.
+    ``pool_stats`` is an optional dict collecting per-kind execution
+    statistics for the CLI summary.  The result is byte-identical for
+    any ``workers``, so the canonical matrix — and therefore the drift
+    report — does not depend on it.
     """
-    campaign = campaign_of(kind, config)
-    checkpoint = _checkpoint_for(checkpoint_dir, kind)
-    if workers > 1:
-        from repro.runtime.pool import PoolConfig, execute_sharded
+    from repro.core.sharding import PoolConfig, campaign_class, execute_sharded
 
-        result, stats = execute_sharded(
-            campaign.shard_job(), PoolConfig(workers=workers),
-            checkpoint=checkpoint, progress=progress,
-        )
-        if pool_stats is not None:
-            pool_stats[kind] = stats
-        return result
-    return campaign.run(progress=progress, checkpoint=checkpoint)
+    campaign = campaign_class(kind)(config)
+    result, stats = execute_sharded(
+        campaign.shard_job(), PoolConfig(workers=workers),
+        checkpoint=_checkpoint_for(checkpoint_dir, kind),
+        progress=progress, campaign=campaign,
+    )
+    if pool_stats is not None:
+        pool_stats[kind] = stats
+    return result
 
 
 def run_sweeps(campaigns, configs, workers=1, checkpoint_dir=None,
@@ -141,7 +114,7 @@ def run_sweeps(campaigns, configs, workers=1, checkpoint_dir=None,
             pool_stats=pool_stats,
         )
         snapshots[kind] = canon.snapshot(
-            kind, result, fingerprint_of(kind, configs[kind])
+            kind, result, configs[kind].fingerprint()
         )
     return snapshots
 

@@ -1,12 +1,16 @@
-"""Supervised process-isolated parallel execution of campaign shards.
+"""Supervised process-isolated execution of campaign shards.
 
 The in-process :class:`~repro.runtime.guard.GuardedStep` contains the
 failures it can *see* — a classified exception, a blown budget, a slow
 step on its own thread.  It cannot pre-empt a hard crash: a
 segfault-equivalent, the OOM killer, or a runaway mutant chewing the
-whole interpreter still kills a serial sweep outright.  This module
-adds the missing layer: campaign shards execute in **isolated child
-processes** under a supervisor that survives the loss of any worker.
+whole interpreter still kills an in-process sweep outright.  This
+module is the ``workers >= 2`` path of the sweep engine
+(:func:`repro.core.sharding.execute_sharded`): units execute in
+**isolated child processes** under a supervisor that survives the loss
+of any worker.  Planning, restore, merging, telemetry and tracing stay
+in the engine; the supervisor owns only worker processes, containment
+and watchdogs.
 
 Architecture (one supervisor, N long-lived ``multiprocessing`` workers):
 
@@ -16,8 +20,7 @@ Architecture (one supervisor, N long-lived ``multiprocessing`` workers):
   shard store** before acknowledging it over its own **private result
   pipe** — one pipe per worker, single writer, no cross-process locks
   (a shared ``mp.Queue`` write lock could be orphaned by a SIGKILL,
-  wedging every surviving worker), and messages stay tiny (single pipe
-  write, atomic under ``PIPE_BUF``), so a kill can never leave a
+  wedging every surviving worker), so a kill can never leave a
   half-received payload or a stuck lock.
 * Each worker runs a heartbeat thread; the supervisor SIGKILLs workers
   whose heartbeat goes quiet and — independently — workers whose
@@ -25,13 +28,10 @@ Architecture (one supervisor, N long-lived ``multiprocessing`` workers):
 * Worker death (crash, OOM, kill) is **contained**: the in-flight unit
   is triaged into the :class:`~repro.runtime.guard.TriageBucket`
   taxonomy and reassigned.  **Crash-loop backoff**: a unit that has
-  burned ``max_attempts`` attempts is poisoned into a unit-level
+  burned ``max_attempts`` attempts is poisoned into the unit-level
   :class:`~repro.core.store.QuarantineRegistry` (checkpoint key
   ``"pool-quarantine"``) instead of being retried forever, so the sweep
-  always completes.
-* Completed payloads are merged **in canonical shard order**, making
-  the result byte-identical for ``--workers 1..N`` and identical to the
-  serial path; poisoned units are simply absent (serial-minus-poisoned).
+  always completes; the merge leaves it out (serial-minus-poisoned).
 * When a checkpoint is supplied, the shard store *is* the checkpoint:
   a ``kill -9`` of the supervisor itself resumes exactly, because every
   finished unit is already durable under a worker-count-independent key.
@@ -48,108 +48,23 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro.core import sharding
-from repro.core.store import CampaignCheckpoint, QuarantineRegistry
-from repro.obs.trace import Tracer, activate
+from repro.core.sharding import (  # noqa: F401  (re-exported pool API)
+    POOL_QUARANTINE_KEY,
+    PoolConfig,
+    PoolStats,
+    UnitFailure,
+    execute_sharded,
+)
+from repro.core.store import CampaignCheckpoint
 from repro.runtime.guard import TriageBucket, classify_exception
-
-#: Checkpoint key of the unit-level quarantine registry.  Distinct from
-#: the campaigns' cell-level keys (the fuzz sweep's ``"quarantine"``,
-#: the invocation sweep's ``"invoke-quarantine"``) so they can all share
-#: one checkpoint directory.
-POOL_QUARANTINE_KEY = "pool-quarantine"
 
 
 def default_start_method():
     """``fork`` where available (cheap, inherits test hooks), else spawn."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
-
-
-@dataclass(frozen=True)
-class PoolConfig:
-    """Supervision parameters of one sharded execution."""
-
-    #: Worker processes; 1 is valid and still process-isolates the sweep.
-    workers: int = 2
-    #: SIGKILL a worker whose in-flight unit exceeds this wall clock.
-    watchdog_seconds: float = 300.0
-    #: How often each worker's heartbeat thread beats.
-    heartbeat_seconds: float = 0.5
-    #: SIGKILL a busy worker whose heartbeat is older than this.
-    heartbeat_timeout_seconds: float = 30.0
-    #: Crash-loop backoff: attempts per unit before it is poisoned.
-    max_attempts: int = 2
-    #: Supervisor poll interval while waiting for worker messages.
-    poll_seconds: float = 0.05
-    #: ``multiprocessing`` start method; ``None`` auto-selects.
-    start_method: str = None
-
-
-@dataclass
-class UnitFailure:
-    """One containment record: a unit attempt that did not complete."""
-
-    unit_key: str
-    server_id: str
-    bucket: str
-    detail: str
-    attempt: int
-
-    def to_obj(self):
-        return {
-            "unit": self.unit_key,
-            "server": self.server_id,
-            "bucket": self.bucket,
-            "detail": self.detail,
-            "attempt": self.attempt,
-        }
-
-
-@dataclass
-class PoolStats:
-    """What the supervisor observed while executing one job."""
-
-    workers: int = 0
-    units_total: int = 0
-    units_completed: int = 0
-    #: Units whose payload already existed in the checkpoint (resume).
-    units_restored: int = 0
-    #: Units excluded by crash-loop backoff (this run or a prior one).
-    units_poisoned: int = 0
-    worker_deaths: int = 0
-    watchdog_kills: int = 0
-    heartbeat_kills: int = 0
-    #: Containments that were retried on another worker.
-    reassignments: int = 0
-    failures: list = field(default_factory=list)  # UnitFailure
-    #: Per-worker utilization rows: ``{"worker", "busy_pct", "idle_pct",
-    #: "killed_pct", "units", "outcome"}``, one per worker lifetime.
-    worker_timeline: list = field(default_factory=list)
-    wall_seconds: float = 0.0
-
-    @property
-    def contained(self):
-        """Total containment events (reassigned or poisoned)."""
-        return self.reassignments + self.units_poisoned
-
-    def to_obj(self):
-        return {
-            "workers": self.workers,
-            "units_total": self.units_total,
-            "units_completed": self.units_completed,
-            "units_restored": self.units_restored,
-            "units_poisoned": self.units_poisoned,
-            "worker_deaths": self.worker_deaths,
-            "watchdog_kills": self.watchdog_kills,
-            "heartbeat_kills": self.heartbeat_kills,
-            "reassignments": self.reassignments,
-            "failures": [failure.to_obj() for failure in self.failures],
-            "worker_timeline": [dict(row) for row in self.worker_timeline],
-            "wall_seconds": self.wall_seconds,
-        }
 
 
 def _worker_main(worker_id, job, spool_dir, task_queue, result_conn,
@@ -162,12 +77,11 @@ def _worker_main(worker_id, job, spool_dir, task_queue, result_conn,
     re-executing.  Exceptions escaping a unit are triaged and reported
     as ``failed`` — the worker itself stays alive for the next unit.
 
-    When ``trace_id`` is set, each unit executes under a fresh
-    :class:`~repro.obs.trace.Tracer` and the buffered span events plus a
-    metrics snapshot ride on the ``done`` acknowledgement; the
-    supervisor's collector folds them back in canonical shard order.  A
-    worker killed mid-send only loses its own observation — the unit is
-    reassigned and re-observed like any other containment.
+    When ``trace_id`` is set, the unit's span events and metrics ride on
+    the ``done`` acknowledgement (see :func:`repro.core.sharding.run_unit`)
+    for the engine's collector.  A worker killed mid-send only loses its
+    own observation — the unit is reassigned and re-observed like any
+    other containment.
     """
     spool = CampaignCheckpoint(spool_dir)
     stop = threading.Event()
@@ -189,16 +103,9 @@ def _worker_main(worker_id, job, spool_dir, task_queue, result_conn,
         observation = None
         try:
             if not spool.has(unit.key):
-                if trace_id is None:
-                    payload = sharding.run_unit(job, campaign, unit)
-                else:
-                    tracer = Tracer(trace_id)
-                    with activate(tracer):
-                        payload = sharding.run_unit(job, campaign, unit)
-                    observation = {
-                        "events": tracer.events,
-                        "metrics": tracer.metrics.to_obj(),
-                    }
+                payload, observation = sharding.run_unit(
+                    campaign, unit, trace_id
+                )
                 spool.save(unit.key, payload)
         except Exception as exc:  # noqa: BLE001 — triaged, reported, contained
             bucket = classify_exception(exc)
@@ -269,75 +176,26 @@ class _WorkerHandle:
 
 
 class _Supervisor:
-    """Runs one :class:`~repro.core.sharding.ShardJob` to completion."""
+    """Runs a planned :class:`~repro.core.sharding.Sweep`'s pending units."""
 
-    def __init__(self, job, pool, spool, checkpoint, progress, collector=None,
-                 telemetry=None):
-        self.job = job
+    def __init__(self, sweep, pool, spool):
+        self.sweep = sweep
+        self.job = sweep.job
         self.pool = pool
         self.spool = spool
-        self.checkpoint = checkpoint
-        self.progress = progress
-        self.collector = collector  # TraceCollector or None
-        self.telemetry = telemetry  # ProgressWriter or None
+        self.stats = sweep.stats
         self.ctx = multiprocessing.get_context(
             pool.start_method or default_start_method()
         )
         self.workers = {}
         self.worker_ids = itertools.count(1)
-        self.registry = QuarantineRegistry.load(
-            checkpoint, key=POOL_QUARANTINE_KEY
-        )
-        self.pending = deque()
-        self.completed = set()
-        self.poisoned = set()
+        self.pending = deque(sweep.pending)
         self.attempts = {}
-        #: worker id → servers it has executed units for.  Workers cache
-        #: one corpus deployment per server, so scheduling is
-        #: affinity-first; the canonical-order merge keeps the result
-        #: independent of these choices.
+        #: worker id → the server whose deployment it holds.  Workers
+        #: keep one corpus deployment, so scheduling is affinity-first;
+        #: the canonical-order merge keeps the result independent of
+        #: these choices.
         self.affinity = {}
-        self.stats = PoolStats(workers=pool.workers)
-
-    # -- planning --------------------------------------------------------------
-
-    def plan(self):
-        units = self.job.units()
-        self.stats.units_total = len(units)
-        for unit in units:
-            reason = self.registry.reason(
-                unit.server_id, unit.key, self.job.campaign
-            )
-            if reason is not None:
-                self.poisoned.add(unit.key)
-                self.stats.units_poisoned += 1
-                self.stats.failures.append(
-                    UnitFailure(
-                        unit.key, unit.server_id, reason["bucket"],
-                        reason["detail"], attempt=0,
-                    )
-                )
-                continue
-            if self.spool.has(unit.key):
-                self.completed.add(unit.key)
-                self.stats.units_restored += 1
-                continue
-            self.pending.append(unit)
-        if self.progress and (self.stats.units_restored
-                              or self.stats.units_poisoned):
-            self.progress(
-                f"[pool] resume: {self.stats.units_restored} restored, "
-                f"{self.stats.units_poisoned} poisoned, "
-                f"{len(self.pending)} to run"
-            )
-        if self.telemetry is not None:
-            self.telemetry.begin(
-                total=self.stats.units_total,
-                workers=self.pool.workers,
-                restored=self.stats.units_restored,
-                poisoned=self.stats.units_poisoned,
-            )
-        return units
 
     # -- worker lifecycle ------------------------------------------------------
 
@@ -348,7 +206,8 @@ class _Supervisor:
         # main thread, so no lock or buffer can be orphaned by SIGKILL.
         recv_conn, send_conn = self.ctx.Pipe(duplex=False)
         heartbeat = self.ctx.Value("d", time.monotonic(), lock=False)
-        trace_id = self.collector.trace_id if self.collector else None
+        collector = self.sweep.collector
+        trace_id = collector.trace_id if collector else None
         process = self.ctx.Process(
             target=_worker_main,
             args=(worker_id, self.job, self.spool.directory, task_queue,
@@ -397,31 +256,31 @@ class _Supervisor:
 
     def _contain(self, unit, bucket, detail):
         """Triage a failed attempt: reassign, or poison on crash-loop."""
+        sweep = self.sweep
         attempt = self.attempts.get(unit.key, 0) + 1
         self.attempts[unit.key] = attempt
         if attempt >= self.pool.max_attempts:
-            self.registry.poison(
+            sweep.registry.poison(
                 unit.server_id, unit.key, self.job.campaign,
                 bucket.value, detail,
             )
-            self.registry.save(self.checkpoint, key=POOL_QUARANTINE_KEY)
-            self.poisoned.add(unit.key)
-            self.stats.units_poisoned += 1
+            sweep.registry.save(sweep.checkpoint)
+            sweep.poisoned.add(unit.key)
             self.stats.failures.append(
                 UnitFailure(
                     unit.key, unit.server_id, bucket.value, detail, attempt
                 )
             )
-            if self.progress:
-                self.progress(
+            if sweep.progress:
+                sweep.progress(
                     f"[pool] {unit.key} poisoned after {attempt} "
                     f"attempts ({bucket.value}): {detail}"
                 )
         else:
             self.pending.appendleft(unit)
             self.stats.reassignments += 1
-            if self.progress:
-                self.progress(
+            if sweep.progress:
+                sweep.progress(
                     f"[pool] {unit.key} reassigned after "
                     f"{bucket.value}: {detail}"
                 )
@@ -430,12 +289,12 @@ class _Supervisor:
         """A busy worker is gone; rescue or requeue its in-flight unit."""
         unit = handle.unit
         handle.release(killed=True)
-        if unit is None or unit.key in self.completed:
+        if unit is None or unit.key in self.sweep.completed:
             return
         if self.spool.has(unit.key):
             # The payload landed before the worker died; only the
             # acknowledgement was lost.
-            self.completed.add(unit.key)
+            self.sweep.completed.add(unit.key)
             return
         self._contain(unit, bucket, detail)
 
@@ -446,18 +305,13 @@ class _Supervisor:
         handle = self.workers.get(worker_id)
         if kind == "done":
             unit_key = message[2]
-            if self.collector is not None and len(message) > 3:
-                self.collector.collect(unit_key, message[3])
-            self.completed.add(unit_key)
+            if self.sweep.collector is not None and len(message) > 3:
+                self.sweep.collector.collect(unit_key, message[3])
             if handle is not None and handle.unit is not None \
                     and handle.unit.key == unit_key:
                 handle.units_done += 1
                 handle.release()
-            if self.progress:
-                self.progress(
-                    f"[pool] {unit_key} done "
-                    f"({len(self.completed)}/{self.stats.units_total})"
-                )
+            self.sweep.unit_done(unit_key)
         elif kind == "failed":
             unit_key, bucket_value, detail = message[2], message[3], message[4]
             if handle is not None and handle.unit is not None \
@@ -529,21 +383,19 @@ class _Supervisor:
     def _pick_unit(self, handle):
         """Affinity-first scheduling: deployments are the expensive part.
 
-        Each worker deploys a server's corpus once and caches it, so a
-        unit lands on (1) a worker that already holds its server, else
-        (2) a server no live worker holds yet — spreading deployments
-        instead of piling every worker onto the canonical-order head —
-        else (3) the queue head.  Purely a wall-clock optimisation: the
-        merge is canonical-order, so any choice yields the same bytes.
+        Each worker keeps the deployment of the server it last ran, so
+        a unit lands on (1) the worker that holds its server, else (2)
+        a server no live worker holds — spreading deployments instead
+        of piling every worker onto the canonical-order head — else (3)
+        the queue head.  Purely a wall-clock optimisation: the merge is
+        canonical-order, so any choice yields the same bytes.
         """
-        served = self.affinity.get(handle.id, ())
+        held = self.affinity.get(handle.id)
         for index, unit in enumerate(self.pending):
-            if unit.server_id in served:
+            if unit.server_id == held:
                 del self.pending[index]
                 return unit
-        owned = set()
-        for servers in self.affinity.values():
-            owned |= servers
+        owned = set(self.affinity.values())
         for index, unit in enumerate(self.pending):
             if unit.server_id not in owned:
                 del self.pending[index]
@@ -551,15 +403,16 @@ class _Supervisor:
         return self.pending.popleft()
 
     def _assign_pending(self):
+        sweep = self.sweep
         for handle in self.workers.values():
             if not self.pending:
                 return
             if handle.busy or not handle.process.is_alive():
                 continue
             unit = self._pick_unit(handle)
-            if unit.key in self.completed or unit.key in self.poisoned:
+            if unit.key in sweep.completed or unit.key in sweep.poisoned:
                 continue
-            self.affinity.setdefault(handle.id, set()).add(unit.server_id)
+            self.affinity[handle.id] = unit.server_id
             handle.assign(unit)
 
     def _replenish_workers(self):
@@ -568,9 +421,7 @@ class _Supervisor:
         while len(self.workers) < desired:
             self._spawn()
 
-    def _emit_telemetry(self, force=False):
-        if self.telemetry is None:
-            return
+    def _heartbeat(self, force=False):
         now = time.monotonic()
         worker_rows = []
         for handle in self.workers.values():
@@ -585,15 +436,10 @@ class _Supervisor:
                     if busy and handle.started_at is not None else 0.0
                 ),
             })
-        self.telemetry.update(
-            done=len(self.completed),
-            poisoned=self.stats.units_poisoned,
-            worker_rows=worker_rows,
-            force=force,
-        )
+        self.sweep.heartbeat(worker_rows, force=force)
 
     def run(self):
-        completed_seen = len(self.completed)
+        completed_seen = len(self.sweep.completed)
         try:
             while self.pending or any(
                 handle.busy for handle in self.workers.values()
@@ -617,10 +463,10 @@ class _Supervisor:
                     time.sleep(self.pool.poll_seconds)
                 self._reap_dead()
                 self._enforce_watchdogs()
-                self._emit_telemetry(
-                    force=len(self.completed) != completed_seen
+                self._heartbeat(
+                    force=len(self.sweep.completed) != completed_seen
                 )
-                completed_seen = len(self.completed)
+                completed_seen = len(self.sweep.completed)
             self.shutdown()
         except BaseException:
             # Interrupt or supervisor bug: the quarantine registry is
@@ -628,104 +474,28 @@ class _Supervisor:
             # finished unit is on disk, so just stop the fleet.
             self.shutdown(force=True)
             raise
-        self.stats.units_completed = len(self.completed)
 
 
-def execute_sharded(job, pool=None, checkpoint=None, progress=None,
-                    collector=None, progress_path=None,
-                    eta_wall_hint_seconds=None):
-    """Execute ``job``'s shard units under a supervised worker pool.
+def run_pool(sweep, pool):
+    """The engine's ``workers >= 2`` path: run, then yield in canonical order.
 
-    Returns ``(result, stats)``.  ``checkpoint`` doubles as the shard
-    store: finished units are durable under worker-count-independent
-    keys, so both worker loss and a hard kill of the supervisor resume
-    exactly.  Without a checkpoint a temporary spool directory plays
-    that role for the duration of the call.
-
-    ``collector`` is an optional
-    :class:`~repro.obs.trace.TraceCollector`: workers then trace each
-    unit and the collector is finalized here against exactly the units
-    the merge consumed, so the trace always describes the merged result.
-
-    ``progress_path`` opts into the crash-safe JSONL heartbeat stream
-    (:mod:`repro.runtime.progress`): units done/total, per-worker state
-    and an ETA seeded from ``eta_wall_hint_seconds`` (typically the
-    perf ledger's last recorded wall-clock for this configuration).
-    Pure telemetry — the merged result is byte-identical with or
-    without it.
+    Runs every pending unit of the planned ``sweep`` under the
+    supervisor, then yields ``(unit, payload)`` for each completed,
+    unpoisoned unit, read back from the shard store one at a time.  The
+    checkpoint is the shard store when there is one; otherwise a
+    temporary spool directory plays that role until the generator is
+    closed.
     """
-    pool = pool or PoolConfig()
-    if pool.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {pool.workers}")
-    started = time.monotonic()
-    if checkpoint is not None:
-        checkpoint.guard("manifest", job.fingerprint())
-        spool, owns_spool = checkpoint, False
+    if sweep.checkpoint is not None:
+        spool, owns_spool = sweep.checkpoint, False
     else:
         spool_dir = tempfile.mkdtemp(prefix="wsinterop-shards-")
         spool, owns_spool = CampaignCheckpoint(spool_dir), True
-    telemetry = None
-    if progress_path:
-        from repro.runtime.progress import ProgressWriter
-
-        telemetry = ProgressWriter(
-            progress_path, campaign=job.campaign,
-            eta_wall_hint_seconds=eta_wall_hint_seconds,
-        )
     try:
-        supervisor = _Supervisor(
-            job, pool, spool, checkpoint, progress, collector=collector,
-            telemetry=telemetry,
-        )
-        units = supervisor.plan()
-        try:
-            supervisor.run()
-        except BaseException:
-            if telemetry is not None:
-                telemetry.final(
-                    done=len(supervisor.completed),
-                    poisoned=supervisor.stats.units_poisoned,
-                    wall_seconds=time.monotonic() - started,
-                    outcome="interrupted",
-                )
-            raise
-        stats = supervisor.stats
-        stats.worker_timeline.sort(key=lambda row: row["worker"])
-        payloads = {
-            unit.key: spool.load(unit.key)
-            for unit in units
-            if unit.key in supervisor.completed
-        }
-        result = job.merge(payloads, poisoned=supervisor.poisoned)
-        stats.wall_seconds = round(time.monotonic() - started, 3)
-        if telemetry is not None:
-            telemetry.final(
-                done=stats.units_completed,
-                poisoned=stats.units_poisoned,
-                wall_seconds=stats.wall_seconds,
-            )
-        if collector is not None:
-            contributing = []
-            for unit in units:
-                payload = payloads.get(unit.key)
-                if payload is None or unit.key in supervisor.poisoned:
-                    continue
-                contributing.append(unit)
-                if isinstance(payload, dict) and not payload.get(
-                    "finished", True
-                ):
-                    # Mirrors the merge's fail-fast truncation: later
-                    # units' events must not describe discarded payloads.
-                    break
-            collector.finalize(
-                contributing, wall_seconds=stats.wall_seconds
-            )
-            collector.worker_events = [
-                {"type": "worker", **row} for row in stats.worker_timeline
-            ]
-        return result, stats
+        _Supervisor(sweep, pool, spool).run()
+        for unit in sweep.units:
+            if unit.key in sweep.completed and unit.key not in sweep.poisoned:
+                yield unit, spool.load(unit.key)
     finally:
-        if telemetry is not None:
-            telemetry.close()
         if owns_spool:
             shutil.rmtree(spool.directory, ignore_errors=True)

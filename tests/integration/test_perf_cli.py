@@ -183,13 +183,18 @@ class TestProgressStream:
         # only come from the recorded history.
         assert stream["meta"]["eta_seconds"] is not None
 
-    def test_serial_progress_prints_note(self, tmp_path, capsys):
+    def test_serial_sweep_streams_progress(self, tmp_path, capsys):
         ledger_dir = str(tmp_path / "ledger")
         progress_path = str(tmp_path / "progress.jsonl")
         assert _record(ledger_dir, "t0", workers=1,
                        extra=["--progress", progress_path]) == 0
-        assert "--workers 2 or more" in capsys.readouterr().err
-        assert not os.path.exists(progress_path)
+        assert "--workers 2 or more" not in capsys.readouterr().err
+        with open(progress_path, encoding="utf-8") as handle:
+            validate_progress_lines(handle.readlines())
+        stream = read_progress(progress_path)
+        assert stream["meta"]["workers"] == 1
+        assert stream["final"]["outcome"] == "completed"
+        assert stream["final"]["done"] == stream["final"]["total"]
 
 
 class TestProfileEdgeCases:

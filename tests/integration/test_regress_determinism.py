@@ -101,8 +101,8 @@ def _run_until_killed(checkpoint_dir):
     # workers; an orphaned worker would otherwise keep the
     # multiprocessing resource-tracker pipe open and hang pytest's exit.
     os.setsid()
-    # Pooled, like the resume: the sharded checkpoint fingerprint
-    # differs from the serial one, so both legs must use the pool.
+    # Pooled, so the kill also takes out worker processes; the resume
+    # may use any worker count.
     _sweep(workers=2, checkpoint_dir=checkpoint_dir)
 
 

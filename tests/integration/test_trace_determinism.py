@@ -54,7 +54,7 @@ class TestRunCampaign:
     @pytest.fixture(scope="class")
     def serial_traced(self):
         config = _quick_config()
-        trace_id = trace_id_for("run", Campaign(config)._fingerprint())
+        trace_id = trace_id_for("run", config.fingerprint())
         tracer = Tracer(trace_id)
         with activate(tracer):
             result = Campaign(config).run()

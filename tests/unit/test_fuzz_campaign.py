@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import CampaignConfig
+from repro.core import CampaignConfig, sharding
 from repro.core.store import CampaignCheckpoint, QuarantineRegistry
 from repro.faults import (
     FuzzCampaign,
@@ -145,26 +145,29 @@ class TestQuarantine:
         assert len(QuarantineRegistry.load(None)) == 0
 
 
+def _dying_on_server_2():
+    """A unit fault hook that interrupts the sweep at its second server."""
+    seen = set()
+
+    def dying(unit):
+        seen.add(unit.server_id)
+        if len(seen) > 1:
+            raise KeyboardInterrupt("simulated crash during server 2")
+
+    return dying
+
+
 class TestFuzzCheckpointResume:
     def test_interrupted_run_resumes_to_identical_result(self, tmp_path):
         uninterrupted = FuzzCampaign(_tiny_fconfig()).run()
 
         checkpoint = CampaignCheckpoint(str(tmp_path / "ckpt"))
-        original = FuzzCampaign._fuzz_server
-        seen = []
-
-        def dying(self, server_id, *args, **kwargs):
-            seen.append(server_id)
-            if len(seen) > 1:
-                raise KeyboardInterrupt("simulated crash during server 2")
-            return original(self, server_id, *args, **kwargs)
-
-        FuzzCampaign._fuzz_server = dying
+        sharding.unit_fault_hook = _dying_on_server_2()
         try:
             with pytest.raises(KeyboardInterrupt):
                 FuzzCampaign(_tiny_fconfig()).run(checkpoint=checkpoint)
         finally:
-            FuzzCampaign._fuzz_server = original
+            sharding.unit_fault_hook = None
 
         assert any(key.startswith("fuzz-") for key in checkpoint.keys())
         resumed = FuzzCampaign(_tiny_fconfig()).run(checkpoint=checkpoint)
@@ -180,24 +183,17 @@ class TestFuzzCheckpointResume:
         uninterrupted = FuzzCampaign(_poison_fconfig()).run()
 
         checkpoint = CampaignCheckpoint(str(tmp_path / "ckpt"))
-        original = FuzzCampaign._fuzz_server
-        seen = []
-
-        def dying(self, server_id, *args, **kwargs):
-            seen.append(server_id)
-            if len(seen) > 1:
-                raise KeyboardInterrupt("simulated crash during server 2")
-            return original(self, server_id, *args, **kwargs)
-
-        FuzzCampaign._fuzz_server = dying
+        sharding.unit_fault_hook = _dying_on_server_2()
         try:
             with pytest.raises(KeyboardInterrupt):
                 FuzzCampaign(_poison_fconfig()).run(checkpoint=checkpoint)
         finally:
-            FuzzCampaign._fuzz_server = original
+            sharding.unit_fault_hook = None
 
-        # The poison list survived the crash alongside the first slice.
-        assert len(QuarantineRegistry.load(checkpoint)) > 0
+        # The poison list survived the crash inside the first unit's
+        # payload.
+        first = FuzzCampaign(_poison_fconfig()).shard_job().units()[0]
+        assert len(checkpoint.load(first.key)["quarantine"]) > 0
 
         resumed = FuzzCampaign(_poison_fconfig()).run(checkpoint=checkpoint)
         assert fuzz_result_to_obj(resumed) == fuzz_result_to_obj(uninterrupted)

@@ -5,10 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import CampaignConfig
-from repro.core.store import CampaignCheckpoint, QuarantineRegistry
+from repro.core import CampaignConfig, sharding
+from repro.core.store import CampaignCheckpoint
 from repro.invoke import (
-    INVOKE_QUARANTINE_KEY,
     InvocationCampaign,
     InvocationCampaignConfig,
     PayloadClass,
@@ -149,26 +148,29 @@ class TestQuarantine:
         assert invoke_result_to_obj(first) == invoke_result_to_obj(second)
 
 
+def _dying_on_server_2():
+    """A unit fault hook that interrupts the sweep at its second server."""
+    seen = set()
+
+    def dying(unit):
+        seen.add(unit.server_id)
+        if len(seen) > 1:
+            raise KeyboardInterrupt("simulated crash during server 2")
+
+    return dying
+
+
 class TestCheckpointResume:
     def test_interrupted_run_resumes_to_identical_result(self, tmp_path):
         uninterrupted = InvocationCampaign(_tiny_iconfig()).run()
 
         checkpoint = CampaignCheckpoint(str(tmp_path / "ckpt"))
-        original = InvocationCampaign._invoke_one_server
-        seen = []
-
-        def dying(self, server_id, *args, **kwargs):
-            seen.append(server_id)
-            if len(seen) > 1:
-                raise KeyboardInterrupt("simulated crash during server 2")
-            return original(self, server_id, *args, **kwargs)
-
-        InvocationCampaign._invoke_one_server = dying
+        sharding.unit_fault_hook = _dying_on_server_2()
         try:
             with pytest.raises(KeyboardInterrupt):
                 InvocationCampaign(_tiny_iconfig()).run(checkpoint=checkpoint)
         finally:
-            InvocationCampaign._invoke_one_server = original
+            sharding.unit_fault_hook = None
 
         assert any(key.startswith("invoke-") for key in checkpoint.keys())
         resumed = InvocationCampaign(_tiny_iconfig()).run(
@@ -184,25 +186,16 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(GeneratedClientProxy, "invoke", buggy)
         checkpoint = CampaignCheckpoint(str(tmp_path / "ckpt"))
-        original = InvocationCampaign._invoke_one_server
-        seen = []
-
-        def dying(self, server_id, *args, **kwargs):
-            seen.append(server_id)
-            if len(seen) > 1:
-                raise KeyboardInterrupt("simulated crash during server 2")
-            return original(self, server_id, *args, **kwargs)
-
-        InvocationCampaign._invoke_one_server = dying
+        sharding.unit_fault_hook = _dying_on_server_2()
         try:
             with pytest.raises(KeyboardInterrupt):
                 InvocationCampaign(_tiny_iconfig()).run(checkpoint=checkpoint)
         finally:
-            InvocationCampaign._invoke_one_server = original
+            sharding.unit_fault_hook = None
 
-        assert len(
-            QuarantineRegistry.load(checkpoint, key=INVOKE_QUARANTINE_KEY)
-        ) > 0
+        # The entries travel in the first unit's checkpointed payload.
+        first = InvocationCampaign(_tiny_iconfig()).shard_job().units()[0]
+        assert len(checkpoint.load(first.key)["quarantine"]) > 0
 
     def test_changed_config_is_rejected(self, tmp_path):
         from repro.core.store import CheckpointMismatch

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.core import Campaign, CampaignConfig
+from repro.core import Campaign, CampaignConfig, sharding
 from repro.core.store import (
     CampaignCheckpoint,
     load_result,
@@ -139,21 +139,19 @@ class TestCampaignCheckpointResume:
         save_result(uninterrupted, plain_path)
 
         checkpoint = CampaignCheckpoint(str(tmp_path / "ckpt"))
-        original = Campaign._run_one_server
-        seen = []
+        seen = set()
 
-        def dying(self, server_id, *args, **kwargs):
-            seen.append(server_id)
+        def dying(unit):
+            seen.add(unit.server_id)
             if len(seen) > 1:
                 raise KeyboardInterrupt("simulated crash during server 2")
-            return original(self, server_id, *args, **kwargs)
 
-        Campaign._run_one_server = dying
+        sharding.unit_fault_hook = dying
         try:
             with pytest.raises(KeyboardInterrupt):
                 Campaign(self._config()).run(checkpoint=checkpoint)
         finally:
-            Campaign._run_one_server = original
+            sharding.unit_fault_hook = None
 
         resumed = Campaign(self._config()).run(checkpoint=checkpoint)
         resumed_path = str(tmp_path / "resumed.json")
@@ -165,15 +163,14 @@ class TestCampaignCheckpointResume:
         checkpoint = CampaignCheckpoint(str(tmp_path))
         first = Campaign(self._config()).run(checkpoint=checkpoint)
 
-        def exploding(self, *args, **kwargs):
-            raise AssertionError("should not re-run any server")
+        def exploding(unit):
+            raise AssertionError("should not re-run any unit")
 
-        original = Campaign._run_one_server
-        Campaign._run_one_server = exploding
+        sharding.unit_fault_hook = exploding
         try:
             second = Campaign(self._config()).run(checkpoint=checkpoint)
         finally:
-            Campaign._run_one_server = original
+            sharding.unit_fault_hook = None
         assert result_to_obj(first) == result_to_obj(second)
         # Wall times come from the checkpoint, not from a re-run.
         assert second.meta["wall_seconds"] == first.meta["wall_seconds"]
@@ -234,10 +231,11 @@ class TestFlagOverrideRestoration:
         monkeypatch.setattr(
             campaign_module, "all_client_frameworks", lambda: shared
         )
+        # Crash inside the unit, while the overrides are applied.
         monkeypatch.setattr(
-            Campaign,
-            "_run_one_server",
-            lambda self, *args, **kwargs: (_ for _ in ()).throw(
+            campaign_module,
+            "run_client_test",
+            lambda *args, **kwargs: (_ for _ in ()).throw(
                 RuntimeError("boom")
             ),
         )
