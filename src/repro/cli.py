@@ -29,9 +29,8 @@ import time
 from repro.appservers import container_for
 from repro.core import Campaign, CampaignConfig
 from repro.core.analysis import headline_numbers
-from repro.core.store import CheckpointMismatch
+from repro.core.store import StoreError
 from repro.frameworks.registry import CLIENT_IDS, SERVER_IDS, client_framework
-from repro.regress.baseline import BaselineError
 from repro.regress.diff import UnclassifiedDriftError
 from repro.reporting import (
     comparison_rows,
@@ -1472,21 +1471,11 @@ def build_parser():
 
 
 def main(argv=None):
-    from repro.obs.perf import LedgerError
-
     args = build_parser().parse_args(argv)
     try:
         with flush_signals_to_interrupt():
             return args.func(args)
-    except LedgerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"hint: {exc.hint}", file=sys.stderr)
-        return 2
-    except CheckpointMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"hint: {exc.hint}", file=sys.stderr)
-        return 2
-    except BaselineError as exc:
+    except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: {exc.hint}", file=sys.stderr)
         return 2

@@ -58,9 +58,6 @@ _CAMPAIGN_CLASSES = {
 #: of the checkpoint fingerprint: changing it re-shards the sweep.
 DEFAULT_CHUNKS_PER_SERVER = 4
 
-#: Checkpoint key of the unit-level quarantine registry.
-POOL_QUARANTINE_KEY = QuarantineRegistry.KEY
-
 #: Test-only hook: when set to a callable, it is invoked with every
 #: :class:`ShardUnit` about to execute, on either path.  Worker
 #: processes inherit it through ``fork``, which lets tests simulate
@@ -485,9 +482,6 @@ def execute_sharded(job, pool=None, checkpoint=None, progress=None,
     except BaseException:
         sweep.final(time.monotonic() - started, outcome="interrupted")
         raise
-    finally:
-        if telemetry is not None:
-            telemetry.close()
     if collector is not None:
         collector.finalize(
             consumed, wall_seconds=stats.wall_seconds, root=caller is None

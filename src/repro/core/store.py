@@ -1,18 +1,34 @@
-"""Persistence: save and load campaign results as JSON.
+"""Persistence: the durable-file layer and the campaign result store.
 
-The study's published artifact was a website of result files; this store
-plays that role.  ``save_result``/``load_result`` round-trip everything
-the aggregations and analyses need — per-record step outcomes included —
-so a saved run can be re-analyzed without re-executing 79,629 tests.
+Every file the program keeps goes through the primitives here, so each
+one either survives a kill -9 at any instant or fails to load with a
+classified :class:`StoreError` that carries a remediation hint:
+
+* :func:`write_text_atomic` / :func:`write_json_atomic` replace a whole
+  file (temp file, fsync, ``os.replace``, directory fsync);
+* :class:`AppendLog` appends canonical JSON lines and reads them back
+  with a count of the lines it had to skip;
+* :class:`ContentStore` files JSON documents under their own sha256 and
+  verifies the hash on every read;
+* :func:`validate_jsonl` decodes and validates a ``meta``-first JSONL
+  stream (traces, progress streams) in one pass.
+
+The study's published artifact was a website of result files; the
+result store plays that role.  ``save_result``/``load_result``
+round-trip everything the aggregations and analyses need — per-record
+step outcomes included — so a saved run can be re-analyzed without
+re-executing 79,629 tests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from dataclasses import dataclass
 
+from repro.core.canon import canonical_json
 from repro.core.outcomes import ClientTestRecord, StepOutcome, StepStatus
 from repro.core.results import CampaignResult, ServerRunReport
 
@@ -101,17 +117,50 @@ def result_from_obj(obj):
     return result
 
 
-class CheckpointMismatch(ValueError):
-    """A checkpoint directory belongs to a different campaign config.
+class StoreError(Exception):
+    """A stored file cannot be used, with a classified reason.
 
-    ``hint`` tells the operator how to recover — the same remediation
-    style as :class:`repro.regress.baseline.BaselineError`.
+    ``kind`` is one of :data:`StoreError.KINDS`; ``hint`` tells the
+    operator how to recover instead of leaving them with a traceback.
+    Each store subclasses it with its own default ``hint``, so the CLI
+    needs one handler for all of them.
     """
+
+    MISSING = "missing"
+    CORRUPT = "corrupt"
+    TAMPERED = "tampered"
+    FINGERPRINT_MISMATCH = "fingerprint-mismatch"
+
+    KINDS = (MISSING, CORRUPT, TAMPERED, FINGERPRINT_MISMATCH)
+
+    hint = ""
+
+    def __init__(self, kind, message, hint=""):
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown {type(self).__name__} kind {kind!r}")
+        super().__init__(message)
+        self.kind = kind
+        self.hint = hint or self.hint
+
+
+class ResultError(StoreError, ValueError):
+    """A saved campaign result cannot be loaded."""
+
+
+class CheckpointError(StoreError, ValueError):
+    """A checkpoint entry cannot be used."""
+
+
+class CheckpointMismatch(CheckpointError):
+    """A checkpoint directory belongs to a different campaign config."""
 
     hint = (
         "point --checkpoint-dir at an empty directory, or re-run with "
         "the original campaign parameters"
     )
+
+    def __init__(self, message):
+        super().__init__(self.FINGERPRINT_MISMATCH, message)
 
 
 def write_text_atomic(text, path):
@@ -163,6 +212,191 @@ def _fsync_directory(directory):
         os.close(descriptor)
 
 
+def _cut_torn_tail(descriptor):
+    """Truncate an unterminated last line back to the last newline."""
+    end = position = os.lseek(descriptor, 0, os.SEEK_END)
+    while position > 0:
+        start = max(position - 4096, 0)
+        cut = os.pread(descriptor, position - start, start).rfind(b"\n")
+        if cut >= 0:
+            position = start + cut + 1
+            break
+        position = start
+    if position != end:
+        os.ftruncate(descriptor, position)
+
+
+class AppendLog:
+    """An append-only file of canonical JSON lines.
+
+    A record is committed once its newline is on disk.  A writer killed
+    mid-append leaves an unterminated fragment: :meth:`read` skips it
+    with a count, and the next :meth:`append` cuts it off before
+    writing, so the fragment can never swallow a later record.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, *records):
+        """Write one ``canonical_json`` line per record, in one write."""
+        data = "".join(
+            canonical_json(record) + "\n" for record in records
+        ).encode("utf-8")
+        descriptor = os.open(
+            self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666
+        )
+        try:
+            _cut_torn_tail(descriptor)
+            while data:
+                data = data[os.write(descriptor, data):]
+        finally:
+            os.close(descriptor)
+
+    def read(self):
+        """``(records, skipped)``, or ``([], 0)`` when the file is missing.
+
+        Lines that are not JSON are skipped and counted, and so is an
+        unterminated last line: the next append would cut it off.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                lines = handle.read().split(b"\n")
+        except FileNotFoundError:
+            return [], 0
+        records, skipped = decode_jsonl(lines[:-1])
+        return records, skipped + bool(lines[-1].strip())
+
+
+class ContentStore:
+    """JSON documents filed in ``directory`` under their own sha256.
+
+    ``error`` is the :class:`StoreError` subclass (and so the default
+    hint) a failed :meth:`get` raises.
+    """
+
+    def __init__(self, directory, error):
+        self.directory = directory
+        self.error = error
+
+    def put(self, prefix, obj):
+        """Write ``obj``'s canonical bytes atomically as
+        ``<prefix>-<digest12>.json``; returns ``(digest, name)``."""
+        text = canonical_json(obj)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        name = f"{prefix}-{digest[:12]}.json"
+        write_text_atomic(text, os.path.join(self.directory, name))
+        return digest, name
+
+    def get(self, name, digest):
+        """The document ``put`` filed as ``name``, verified against
+        ``digest``.
+
+        The hash runs over the raw bytes before parsing, so a missing,
+        truncated or edited file is ``tampered`` even when it still
+        parses.
+        """
+        path = os.path.join(self.directory, name)
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            raise self.error(
+                StoreError.TAMPERED, f"{path} is gone: {exc}"
+            ) from exc
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise self.error(
+                StoreError.TAMPERED,
+                f"{path} does not match its recorded digest (truncated or "
+                "edited file)",
+            )
+        try:
+            return json.loads(data)
+        except ValueError as exc:
+            raise self.error(
+                StoreError.CORRUPT, f"{path} is not JSON: {exc}"
+            ) from exc
+
+
+# -- JSONL streams -------------------------------------------------------------
+
+#: Value checks for :func:`validate_jsonl` schemas.  A ``?`` suffix on a
+#: type name marks a field whose value may also be null.
+_TYPE_CHECKS = {
+    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "str": lambda value: isinstance(value, str),
+    "number": lambda value: isinstance(value, (int, float))
+    and not isinstance(value, bool),
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+}
+
+
+def decode_jsonl(lines):
+    """Decode JSON ``lines``: ``(objects, skipped)``.
+
+    A line that is not JSON is skipped and counted; blank lines are
+    neither.
+    """
+    objects, skipped = [], 0
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            objects.append(json.loads(line))
+        except ValueError:
+            skipped += 1
+    return objects, skipped
+
+
+def _check_line(obj, number, line_types, error):
+    if not isinstance(obj, dict):
+        raise error(f"line {number}: not a JSON object")
+    line_type = obj.get("type")
+    fields = line_types.get(line_type)
+    if fields is None:
+        raise error(f"line {number}: unknown line type {line_type!r}")
+    for field, type_name in fields.items():
+        if field not in obj:
+            raise error(
+                f"line {number}: {line_type} line missing field {field!r}"
+            )
+        nullable = type_name.endswith("?")
+        type_name = type_name.rstrip("?")
+        if nullable and obj[field] is None:
+            continue
+        if not _TYPE_CHECKS[type_name](obj[field]):
+            raise error(f"line {number}: field {field!r} is not a {type_name}")
+
+
+def validate_jsonl(lines, line_types, error, name):
+    """Decode and validate the JSONL stream ``lines``: ``(objects, skipped)``.
+
+    Each non-blank line must be an object whose ``type`` is a key of
+    ``line_types`` and that carries that entry's ``{field: type name}``
+    fields, and the first must be the ``meta`` line.  A torn last line
+    — what a killed or still-running writer leaves — is skipped and
+    counted; anything else raises ``error`` (``name`` labels the stream
+    in its messages).
+    """
+    lines = [line for line in lines if line.strip()]
+    objects = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            if number == len(lines) and objects:
+                return objects, 1
+            raise error(f"line {number}: not JSON: {exc}")
+        _check_line(obj, number, line_types, error)
+        if not objects and obj.get("type") != "meta":
+            raise error(f"{name} must start with a meta line")
+        objects.append(obj)
+    if not objects:
+        raise error(f"{name} is empty")
+    return objects, 0
+
+
 def save_result(result, path, include_records=True):
     """Atomically write ``result`` to ``path`` as JSON."""
     write_json_atomic(
@@ -171,9 +405,24 @@ def save_result(result, path, include_records=True):
 
 
 def load_result(path):
-    """Load a result previously written by :func:`save_result`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return result_from_obj(json.load(handle))
+    """Load a result previously written by :func:`save_result`.
+
+    A missing, truncated or foreign-format file raises
+    :class:`ResultError`.
+    """
+    hint = f"re-run `wsinterop run --save {path}` to write it again"
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return result_from_obj(json.load(handle))
+    except FileNotFoundError as exc:
+        raise ResultError(
+            ResultError.MISSING, f"no saved result at {path}: {exc}", hint
+        ) from exc
+    except (OSError, ValueError) as exc:
+        raise ResultError(
+            ResultError.CORRUPT,
+            f"saved result {path} is unreadable: {exc}", hint,
+        ) from exc
 
 
 # -- checkpointing -----------------------------------------------------------
@@ -261,8 +510,17 @@ class CampaignCheckpoint:
         write_json_atomic(obj, self._path(key))
 
     def load(self, key):
-        with open(self._path(key), "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        path = self._path(key)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise CheckpointError(
+                CheckpointError.CORRUPT,
+                f"checkpoint entry {path} is unreadable: {exc}",
+                hint=f"delete {path} and re-run with the same arguments "
+                "to compute it again",
+            ) from exc
 
     def guard(self, key, fingerprint):
         """Pin the checkpoint to ``fingerprint``; reject a mismatch."""
@@ -282,14 +540,6 @@ class CampaignCheckpoint:
             for name in os.listdir(self.directory)
             if name.endswith(".json")
         )
-
-    def clear(self):
-        """Remove all checkpoint entries (after a successful finish)."""
-        for key in self.keys():
-            try:
-                os.unlink(self._path(key))
-            except OSError:
-                pass
 
 
 class QuarantineRegistry:
@@ -365,15 +615,14 @@ class QuarantineRegistry:
             )
         return registry
 
-    def save(self, checkpoint, key=None):
+    def save(self, checkpoint):
         """Persist into ``checkpoint`` (a no-op when it is ``None``)."""
         if checkpoint is not None:
-            checkpoint.save(key or self.KEY, self.to_obj())
+            checkpoint.save(self.KEY, self.to_obj())
 
     @classmethod
-    def load(cls, checkpoint, key=None):
+    def load(cls, checkpoint):
         """Restore from ``checkpoint``; empty when absent or ``None``."""
-        key = key or cls.KEY
-        if checkpoint is not None and checkpoint.has(key):
-            return cls.from_obj(checkpoint.load(key))
+        if checkpoint is not None and checkpoint.has(cls.KEY):
+            return cls.from_obj(checkpoint.load(cls.KEY))
         return cls()

@@ -32,7 +32,6 @@ from repro.obs.sink import (
     TraceValidationError,
     load_trace,
     resolve_trace_path,
-    validate_trace_line,
     validate_trace_lines,
 )
 from repro.obs.trace import (
@@ -84,6 +83,5 @@ __all__ = [
     "server_span_id",
     "span_id_for",
     "trace_id_for",
-    "validate_trace_line",
     "validate_trace_lines",
 ]

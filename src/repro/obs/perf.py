@@ -13,12 +13,11 @@ across runs.  This module closes that gap:
 
 * :class:`PerfLedger` persists profiles beside the regress baselines:
   each profile is written content-addressed (``perf-<digest12>.json``,
-  via the same atomic-write machinery the baseline store uses) and an
-  **append-only** ``perf.jsonl`` ledger line records it keyed by config
-  identity (the trace ID, a pure function of campaign kind + config
-  fingerprint), git revision and seed.  Appends mirror the baseline
-  store's accepts-history pattern: a crash loses at most the torn tail
-  line, which readers skip with a count instead of failing.
+  in a :class:`~repro.core.store.ContentStore` like the baseline
+  snapshots) and an **append-only** ``perf.jsonl`` ledger line (an
+  :class:`~repro.core.store.AppendLog`, like the accept history)
+  records it keyed by config identity (the trace ID, a pure function of
+  campaign kind + config fingerprint), git revision and seed.
 
 * :func:`diff_profiles` compares two profiles **noise-aware**: per
   stage it tests the *median* shift against a threshold scaled by the
@@ -34,12 +33,10 @@ hashes.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 
-from repro.core.canon import canonical_json
-from repro.core.store import write_text_atomic
+from repro.core.canon import matrix_digest
+from repro.core.store import AppendLog, ContentStore, StoreError
 from repro.obs.metrics import Histogram
 
 PERF_FORMAT = 1
@@ -66,28 +63,13 @@ DEFAULT_MIN_RATIO = 2.0
 EXACT_STAGE_SAMPLES = 64
 
 
-class LedgerError(Exception):
+class LedgerError(StoreError):
     """A perf ledger cannot be used, with a classified reason."""
 
-    MISSING = "missing"
-    CORRUPT = "corrupt"
-    TAMPERED = "tampered"
-
-    KINDS = (MISSING, CORRUPT, TAMPERED)
-
-    def __init__(self, kind, message, hint=""):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown ledger error kind {kind!r}")
-        super().__init__(message)
-        self.kind = kind
-        self.hint = hint or (
-            "record a fresh profile with `wsinterop perf record "
-            "--ledger-dir <dir>`"
-        )
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    hint = (
+        "record a fresh profile with `wsinterop perf record "
+        "--ledger-dir <dir>`"
+    )
 
 
 # -- profile extraction --------------------------------------------------------
@@ -230,8 +212,7 @@ def perf_profile(trace):
     return profile
 
 
-def profile_digest(profile):
-    return _sha256(canonical_json(profile))
+profile_digest = matrix_digest
 
 
 # -- the ledger ----------------------------------------------------------------
@@ -250,10 +231,9 @@ class PerfLedger:
 
     def __init__(self, directory):
         self.directory = directory
-
-    @property
-    def path(self):
-        return os.path.join(self.directory, LEDGER_FILENAME)
+        self.path = os.path.join(directory, LEDGER_FILENAME)
+        self._log = AppendLog(self.path)
+        self._profiles = ContentStore(directory, LedgerError)
 
     def record(self, profile, recorded_at="", git_rev="", seed=None):
         """Persist ``profile`` and append its ledger entry; returns it.
@@ -262,13 +242,7 @@ class PerfLedger:
         in, never sampled here, mirroring the baseline accept history.
         """
         os.makedirs(self.directory, exist_ok=True)
-        digest = profile_digest(profile)
-        filename = f"perf-{digest[:12]}.json"
-        # The file holds exactly the canonical bytes the digest covers,
-        # so load_profile can verify it without re-canonicalizing.
-        write_text_atomic(
-            canonical_json(profile), os.path.join(self.directory, filename)
-        )
+        digest, filename = self._profiles.put("perf", profile)
         entry = {
             "format": PERF_FORMAT,
             "recorded_at": recorded_at,
@@ -286,8 +260,7 @@ class PerfLedger:
                 "cells_per_sec": profile["cells_per_sec"],
             },
         }
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_json(entry) + "\n")
+        self._log.append(entry)
         return entry
 
     def entries(self, kind=None, trace_id=None):
@@ -299,26 +272,14 @@ class PerfLedger:
         skipped and counted instead.
         """
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except FileNotFoundError:
-            return [], 0
+            records, skipped = self._log.read()
         except OSError as exc:
             raise LedgerError(
                 LedgerError.CORRUPT,
                 f"perf ledger at {self.path!r} is unreadable: {exc}",
             )
         entries = []
-        skipped = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
+        for entry in records:
             if not isinstance(entry, dict) or not {
                 "kind", "digest", "file"
             } <= set(entry):
@@ -338,27 +299,11 @@ class PerfLedger:
         truncated or hand-edited profile file is classified as tampered
         rather than surfacing as a JSON traceback mid-diff.
         """
-        path = os.path.join(self.directory, entry["file"])
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise LedgerError(
-                LedgerError.TAMPERED,
-                f"profile {entry['file']!r} behind ledger entry "
-                f"{entry['digest'][:12]} is gone: {exc}",
-            )
-        if _sha256(text) != entry["digest"]:
-            raise LedgerError(
-                LedgerError.TAMPERED,
-                f"profile {path!r} does not match its ledger digest "
-                f"(truncated or edited file)",
-            )
-        profile = json.loads(text)
+        profile = self._profiles.get(entry["file"], entry["digest"])
         if profile.get("format") != PERF_FORMAT:
             raise LedgerError(
                 LedgerError.CORRUPT,
-                f"profile {path!r} has unsupported format "
+                f"profile {entry['file']!r} has unsupported format "
                 f"{profile.get('format')!r}",
             )
         return profile

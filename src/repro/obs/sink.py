@@ -17,17 +17,17 @@ conforms.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from repro.core.store import write_text_atomic
+from repro.core.canon import canonical_json
+from repro.core.store import decode_jsonl, validate_jsonl, write_text_atomic
 from repro.obs.trace import TRACE_FORMAT
 
 TRACE_FILENAME = "trace.jsonl"
 
-#: Required fields and their types per line type.  ``None`` in a tuple
-#: of types marks a field whose value may also be null.
+#: Required fields and their types per line type, in the
+#: :func:`repro.core.store.validate_jsonl` schema form.
 TRACE_SCHEMA = {
     "format": TRACE_FORMAT,
     "line_types": {
@@ -63,78 +63,22 @@ TRACE_SCHEMA = {
     },
 }
 
-_TYPE_CHECKS = {
-    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "str": lambda value: isinstance(value, str),
-    "number": lambda value: isinstance(value, (int, float))
-    and not isinstance(value, bool),
-    "object": lambda value: isinstance(value, dict),
-    "array": lambda value: isinstance(value, list),
-}
-
 
 class TraceValidationError(ValueError):
     """A trace line does not conform to :data:`TRACE_SCHEMA`."""
 
 
-def validate_trace_line(obj, line_number=0):
-    """Validate one decoded JSONL line against the schema."""
-    if not isinstance(obj, dict):
-        raise TraceValidationError(f"line {line_number}: not a JSON object")
-    line_type = obj.get("type")
-    fields = TRACE_SCHEMA["line_types"].get(line_type)
-    if fields is None:
-        raise TraceValidationError(
-            f"line {line_number}: unknown line type {line_type!r}"
-        )
-    for name, type_name in fields.items():
-        if name not in obj:
-            raise TraceValidationError(
-                f"line {line_number}: {line_type} line missing field {name!r}"
-            )
-        if not _TYPE_CHECKS[type_name](obj[name]):
-            raise TraceValidationError(
-                f"line {line_number}: field {name!r} is not a {type_name}"
-            )
-
-
-def _last_payload_index(lines):
-    """Index of the last non-blank line, or ``-1`` for a blank trace."""
-    for index in range(len(lines) - 1, -1, -1):
-        if lines[index].strip():
-            return index
-    return -1
+def _decode(lines):
+    return validate_jsonl(
+        lines, TRACE_SCHEMA["line_types"], TraceValidationError, "trace"
+    )
 
 
 def validate_trace_lines(lines):
-    """Validate a whole trace; the first line must be the meta line.
-
-    A *trailing* line that is not valid JSON is tolerated: a crashed or
-    still-running writer leaves exactly one partially-written line at
-    the end of an append-style file, and dropping it loses nothing a
-    reader could have used.  Garbage anywhere else is real corruption
-    and still raises.
-    """
-    lines = list(lines)
-    count = 0
-    last = _last_payload_index(lines)
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if number - 1 == last and count > 0:
-                break  # truncated tail; load_trace counts it
-            raise TraceValidationError(f"line {number}: not JSON: {exc}")
-        validate_trace_line(obj, number)
-        if count == 0 and obj.get("type") != "meta":
-            raise TraceValidationError("trace must start with a meta line")
-        count += 1
-    if count == 0:
-        raise TraceValidationError("trace is empty")
-    return count
+    """Validate a whole trace and return its line count: the first line
+    must be the meta line, and only a torn trailing line is tolerated
+    (:func:`repro.core.store.validate_jsonl`)."""
+    return len(_decode(lines)[0])
 
 
 class TraceSink:
@@ -165,11 +109,8 @@ class TraceSink:
         lines.extend(worker_events)
         if metrics is not None:
             lines.extend(metrics.to_events())
-        text = "\n".join(
-            json.dumps(line, sort_keys=True, separators=(",", ":"))
-            for line in lines
-        )
-        write_text_atomic(text + "\n", self.path)
+        text = "".join(canonical_json(line) + "\n" for line in lines)
+        write_text_atomic(text, self.path)
         return self.path
 
 
@@ -184,30 +125,20 @@ def load_trace(path, validate=True):
     """Load a trace file into ``{meta, spans, workers, metrics_events}``.
 
     With ``validate`` (the default) every line is checked against
-    :data:`TRACE_SCHEMA` first, so downstream renderers can assume
-    shape.
+    :data:`TRACE_SCHEMA` as it is decoded, so downstream renderers can
+    assume shape.  ``skipped_lines`` counts the lines that were not
+    JSON (with ``validate``, at most a torn trailing one), so the
+    profile can surface that the trace was truncated.
     """
     path = resolve_trace_path(path)
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
-    if validate:
-        validate_trace_lines(lines)
+    objects, skipped = _decode(lines) if validate else decode_jsonl(lines)
     trace = {
         "meta": None, "spans": [], "workers": [], "metrics_events": [],
-        "skipped_lines": 0,
+        "skipped_lines": skipped,
     }
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            # Partially-written trailing line (validated as tolerable
-            # above when validate=True): skip it, but keep the count so
-            # the profile can surface that the trace was truncated.
-            trace["skipped_lines"] += 1
-            continue
+    for obj in objects:
         if obj["type"] == "meta":
             trace["meta"] = obj
         elif obj["type"] == "span":

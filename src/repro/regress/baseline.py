@@ -15,7 +15,8 @@ is therefore atomic for any number of campaigns: until the manifest
 rename lands, a reader sees the previous baseline in full; afterwards it
 sees the new one in full.
 
-Every load re-hashes the file against the manifest digest, so a
+Snapshots live in a :class:`~repro.core.store.ContentStore`, which
+re-hashes each file against the manifest digest on load, so a
 truncated, tampered or hand-edited baseline is a *classified*
 :class:`BaselineError` with a remediation hint, never a JSON traceback
 deep inside the diff engine.
@@ -23,12 +24,16 @@ deep inside the diff engine.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
 from repro.core.canon import canonical_json, require_kind
-from repro.core.store import write_text_atomic
+from repro.core.store import (
+    AppendLog,
+    ContentStore,
+    StoreError,
+    write_text_atomic,
+)
 
 _MANIFEST = "manifest.json"
 #: Append-only accept history.  The ``.jsonl`` suffix is load-bearing:
@@ -46,30 +51,10 @@ REACCEPT_HINT = (
 )
 
 
-class BaselineError(Exception):
-    """A baseline directory cannot be used, with a classified reason.
+class BaselineError(StoreError):
+    """A baseline directory cannot be used, with a classified reason."""
 
-    ``kind`` is one of :data:`BaselineError.KINDS`; ``hint`` tells the
-    operator how to recover instead of leaving them with a traceback.
-    """
-
-    MISSING = "missing"
-    CORRUPT = "corrupt"
-    TAMPERED = "tampered"
-    FINGERPRINT_MISMATCH = "fingerprint-mismatch"
-
-    KINDS = (MISSING, CORRUPT, TAMPERED, FINGERPRINT_MISMATCH)
-
-    def __init__(self, kind, message, hint=REACCEPT_HINT):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown baseline error kind {kind!r}")
-        super().__init__(message)
-        self.kind = kind
-        self.hint = hint
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    hint = REACCEPT_HINT
 
 
 class BaselineStore:
@@ -77,6 +62,8 @@ class BaselineStore:
 
     def __init__(self, directory):
         self.directory = directory
+        self._snapshots = ContentStore(directory, BaselineError)
+        self._accepts = AppendLog(os.path.join(directory, _ACCEPTS))
 
     def _path(self, name):
         return os.path.join(self.directory, name)
@@ -156,32 +143,12 @@ class BaselineStore:
         reported as corruption even when it happens to stay parseable.
         """
         entry = self._entry(kind)
-        path = self._path(entry["file"])
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise BaselineError(
-                BaselineError.TAMPERED,
-                f"accepted {kind!r} snapshot {path!r} is gone: {exc}",
-            )
-        if _sha256(text) != entry["digest"]:
-            raise BaselineError(
-                BaselineError.TAMPERED,
-                f"accepted {kind!r} snapshot {path!r} does not match its "
-                f"manifest digest (truncated or edited baseline file)",
-            )
-        try:
-            snapshot = json.loads(text)
-        except ValueError as exc:
-            raise BaselineError(
-                BaselineError.CORRUPT,
-                f"accepted {kind!r} snapshot {path!r} is not JSON: {exc}",
-            )
+        snapshot = self._snapshots.get(entry["file"], entry["digest"])
         if snapshot.get("format") != _FORMAT or snapshot.get("kind") != kind:
             raise BaselineError(
                 BaselineError.CORRUPT,
-                f"accepted {kind!r} snapshot {path!r} has unexpected "
+                f"accepted {kind!r} snapshot "
+                f"{self._path(entry['file'])!r} has unexpected "
                 f"format/kind ({snapshot.get('format')!r}, "
                 f"{snapshot.get('kind')!r})",
             )
@@ -229,10 +196,9 @@ class BaselineStore:
         digests = {}
         for kind in sorted(snapshots):
             require_kind(kind)
-            text = canonical_json(dict(snapshots[kind], format=_FORMAT, kind=kind))
-            digest = _sha256(text)
-            filename = f"{kind}-{digest[:12]}.json"
-            write_text_atomic(text, self._path(filename))
+            digest, filename = self._snapshots.put(
+                kind, dict(snapshots[kind], format=_FORMAT, kind=kind)
+            )
             campaigns[kind] = {"file": filename, "digest": digest}
             digests[kind] = digest
         write_text_atomic(
@@ -240,24 +206,18 @@ class BaselineStore:
             self._path(_MANIFEST),
         )
         self._collect_garbage(campaigns)
-        self._record_accepts(digests, timestamp, git_rev)
+        # After the commit point: a crash here loses only this
+        # promotion's history lines, never the manifest.
+        self._accepts.append(*(
+            {
+                "timestamp": timestamp,
+                "kind": kind,
+                "digest": digests[kind],
+                "git_rev": git_rev,
+            }
+            for kind in sorted(digests)
+        ))
         return digests
-
-    def _record_accepts(self, digests, timestamp, git_rev):
-        """Append one history line per promoted campaign.
-
-        Append-only (not atomic-replace): a crash mid-append loses at
-        most the tail lines of *this* promotion, never the manifest —
-        and :meth:`history` skips any torn line rather than failing.
-        """
-        with open(self._path(_ACCEPTS), "a", encoding="utf-8") as handle:
-            for kind in sorted(digests):
-                handle.write(canonical_json({
-                    "timestamp": timestamp,
-                    "kind": kind,
-                    "digest": digests[kind],
-                    "git_rev": git_rev,
-                }) + "\n")
 
     def history(self):
         """Accept-history entries, oldest first; ``[]`` when none.
@@ -266,22 +226,13 @@ class BaselineStore:
         is operator-facing metadata, never an input to the gate.
         """
         try:
-            with open(self._path(_ACCEPTS), "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
+            records, _ = self._accepts.read()
         except OSError:
             return []
-        entries = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(entry, dict) and {"kind", "digest"} <= set(entry):
-                entries.append(entry)
-        return entries
+        return [
+            entry for entry in records
+            if isinstance(entry, dict) and {"kind", "digest"} <= set(entry)
+        ]
 
     def _collect_garbage(self, campaigns):
         """Drop snapshot files the manifest no longer references."""

@@ -37,7 +37,6 @@ from repro.runtime.progress import (
     ProgressValidationError,
     ProgressWriter,
     read_progress,
-    validate_progress_line,
     validate_progress_lines,
 )
 from repro.runtime.recorder import Exchange, TransportRecorder, check_exchange
@@ -120,6 +119,5 @@ __all__ = [
     "run_full_lifecycle",
     "run_guarded",
     "transport_factory_for",
-    "validate_progress_line",
     "validate_progress_lines",
 ]

@@ -51,7 +51,6 @@ from collections import deque
 
 from repro.core import sharding
 from repro.core.sharding import (  # noqa: F401  (re-exported pool API)
-    POOL_QUARANTINE_KEY,
     PoolConfig,
     PoolStats,
     UnitFailure,

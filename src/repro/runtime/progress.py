@@ -6,11 +6,12 @@ JSON line per heartbeat — units done/total, per-worker state, an ETA —
 so an operator (or the future campaign-as-a-service scheduler) can
 ``tail -f`` a running sweep instead of waiting for the post-hoc trace.
 
-Crash safety is the append-only contract the accept history and the
-perf ledger already use: every line is flushed as written, a killed
-writer leaves at most one torn trailing line, and :func:`read_progress`
-skips torn lines with a count instead of failing.  The stream is pure
-telemetry — nothing in it feeds checkpoints, payloads or fingerprints.
+Crash safety is the :class:`~repro.core.store.AppendLog` the accept
+history and the perf ledger use: every line is written whole, a killed
+writer leaves at most one torn trailing line, the next append (a
+resumed sweep's) cuts it off, and :func:`read_progress` skips it with
+a count instead of failing.  The stream is pure telemetry — nothing in
+it feeds checkpoints, payloads or fingerprints.
 
 The ETA starts from the performance ledger when a hint is available
 (the wall-clock of the last recorded run of the *same configuration* —
@@ -20,8 +21,9 @@ the observed completion rate once enough of this run has finished.
 
 from __future__ import annotations
 
-import json
 import time
+
+from repro.core.store import AppendLog, validate_jsonl
 
 PROGRESS_FORMAT = 1
 
@@ -58,91 +60,26 @@ PROGRESS_SCHEMA = {
     },
 }
 
-_TYPE_CHECKS = {
-    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "str": lambda value: isinstance(value, str),
-    "number": lambda value: isinstance(value, (int, float))
-    and not isinstance(value, bool),
-    "array": lambda value: isinstance(value, list),
-}
-
 
 class ProgressValidationError(ValueError):
     """A progress line does not conform to :data:`PROGRESS_SCHEMA`."""
 
 
-def validate_progress_line(obj, line_number=0):
-    if not isinstance(obj, dict):
-        raise ProgressValidationError(
-            f"line {line_number}: not a JSON object"
-        )
-    line_type = obj.get("type")
-    fields = PROGRESS_SCHEMA["line_types"].get(line_type)
-    if fields is None:
-        raise ProgressValidationError(
-            f"line {line_number}: unknown line type {line_type!r}"
-        )
-    for name, type_name in fields.items():
-        nullable = type_name.endswith("?")
-        if nullable:
-            type_name = type_name[:-1]
-        if name not in obj:
-            raise ProgressValidationError(
-                f"line {line_number}: {line_type} line missing "
-                f"field {name!r}"
-            )
-        value = obj[name]
-        if nullable and value is None:
-            continue
-        if not _TYPE_CHECKS[type_name](value):
-            raise ProgressValidationError(
-                f"line {line_number}: field {name!r} is not a {type_name}"
-            )
-
-
 def validate_progress_lines(lines):
-    """Validate a whole stream; the first line must be the meta line.
-
-    A torn trailing line — the writer was killed or is still mid-append
-    — is tolerated exactly like a trace file's; garbage anywhere else
-    raises.
-    """
-    lines = [line for line in lines if line.strip()]
-    count = 0
-    for number, line in enumerate(lines, start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if number == len(lines) and count > 0:
-                break
-            raise ProgressValidationError(
-                f"line {number}: not JSON: {exc}"
-            )
-        validate_progress_line(obj, number)
-        if count == 0 and obj.get("type") != "meta":
-            raise ProgressValidationError(
-                "progress stream must start with a meta line"
-            )
-        count += 1
-    if count == 0:
-        raise ProgressValidationError("progress stream is empty")
-    return count
+    """Validate a whole stream and return its line count: the first
+    line must be the meta line, and only a torn trailing line is
+    tolerated (:func:`repro.core.store.validate_jsonl`)."""
+    return len(validate_jsonl(
+        lines, PROGRESS_SCHEMA["line_types"], ProgressValidationError,
+        "progress stream",
+    )[0])
 
 
 def read_progress(path):
     """Tolerant load: ``{meta, updates, final, skipped_lines}``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    out = {"meta": None, "updates": [], "final": None, "skipped_lines": 0}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            out["skipped_lines"] += 1
-            continue
+    records, skipped = AppendLog(path).read()
+    out = {"meta": None, "updates": [], "final": None, "skipped_lines": skipped}
+    for obj in records:
         kind = obj.get("type")
         if kind == "meta":
             out["meta"] = obj
@@ -170,7 +107,7 @@ class ProgressWriter:
         self.eta_wall_hint_seconds = eta_wall_hint_seconds
         self.min_interval_seconds = min_interval_seconds
         self._clock = clock
-        self._handle = None
+        self._log = AppendLog(path)
         self._started = clock()
         self._last_emit = None
         self._total = 0
@@ -178,14 +115,9 @@ class ProgressWriter:
 
     def _write(self, obj):
         try:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(
-                json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-            )
-            self._handle.flush()
+            self._log.append(obj)
         except OSError:
-            self._handle = None
+            pass
 
     def begin(self, total, workers, restored=0, poisoned=0):
         self._total = total
@@ -253,11 +185,3 @@ class ProgressWriter:
             "wall_seconds": round(wall_seconds, 3),
             "outcome": outcome,
         })
-
-    def close(self):
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None

@@ -155,3 +155,44 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Fig. 4" in out
         assert "Paper vs measured" in out
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+class TestClassifiedStoreErrors:
+    """A damaged file read back exits 2 with ``error:`` and ``hint:``."""
+
+    INVOKE = ["invoke", "--quick", "--sample", "1", "--seed", "7"]
+
+    @pytest.mark.parametrize(
+        "entry", ["invoke-metro-000of001.json", "manifest.json"]
+    )
+    def test_truncated_checkpoint_entry(self, tmp_path, capsys, entry):
+        checkpoint = tmp_path / "ck"
+        argv = self.INVOKE + ["--checkpoint-dir", str(checkpoint)]
+        assert main(argv) == 0
+        _truncate(checkpoint / entry)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint entry {checkpoint / entry}" in err
+        assert f"hint: delete {checkpoint / entry}" in err
+
+    def test_analyze_truncated_result(self, tmp_path, capsys):
+        saved = tmp_path / "saved.json"
+        assert main(["run", "--quick", "--save", str(saved)]) == 0
+        _truncate(saved)
+        capsys.readouterr()
+        assert main(["analyze", str(saved)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: saved result {saved} is unreadable" in err
+        assert "hint: re-run `wsinterop run --save" in err
+
+    def test_analyze_missing_result(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path / "nope.json")]) == 2
+        err = capsys.readouterr().err
+        assert "error: no saved result at" in err
+        assert "hint: re-run `wsinterop run --save" in err

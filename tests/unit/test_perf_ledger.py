@@ -182,6 +182,16 @@ class TestLedger:
         assert len(entries) == 2
         assert skipped == 1
 
+    def test_record_after_torn_tail_is_kept(self, tmp_path):
+        ledger = PerfLedger(str(tmp_path / "perf"))
+        ledger.record(_profile({"a": [1.0]}))
+        with open(ledger.path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "run", "digest": "dead')  # torn append
+        second = ledger.record(_profile({"a": [2.0]}))
+        entries, skipped = ledger.entries()
+        assert len(entries) == 2 and skipped == 0
+        assert entries[-1] == second
+
     def test_tampered_profile_is_classified(self, tmp_path):
         ledger = PerfLedger(str(tmp_path / "perf"))
         entry = ledger.record(_profile({"a": [1.0]}))
@@ -393,7 +403,6 @@ class TestProgressStream:
         ])
         writer.update(done=4, poisoned=0, worker_rows=[])
         writer.final(done=4, poisoned=0, wall_seconds=3.0)
-        writer.close()
         lines = path.read_text(encoding="utf-8").splitlines()
         assert validate_progress_lines(lines) == 4
         stream = read_progress(str(path))
@@ -406,7 +415,6 @@ class TestProgressStream:
         writer = self._run_writer(path, [0.0, 2.0, 2.0])
         writer.begin(total=4, workers=1)
         writer.update(done=2, poisoned=0, worker_rows=[])
-        writer.close()
         stream = read_progress(str(path))
         # Before any completion: the ledger hint scaled to the sweep.
         assert stream["meta"]["eta_seconds"] == pytest.approx(10.0)
@@ -418,7 +426,6 @@ class TestProgressStream:
         writer = self._run_writer(path, [0.0, 1.0, 1.0])
         writer.begin(total=10, workers=1, restored=5)
         writer.update(done=5, poisoned=0, worker_rows=[])
-        writer.close()
         stream = read_progress(str(path))
         # No fresh completions yet: falls back to the hint fraction.
         assert stream["updates"][0]["eta_seconds"] == pytest.approx(5.0)
@@ -427,7 +434,6 @@ class TestProgressStream:
         path = tmp_path / "progress.jsonl"
         writer = self._run_writer(path, [0.0])
         writer.begin(total=1, workers=1)
-        writer.close()
         lines = path.read_text(encoding="utf-8").splitlines()
         assert validate_progress_lines(lines + ['{"type": "fin']) == 1
         with pytest.raises(ProgressValidationError):
@@ -441,10 +447,26 @@ class TestProgressStream:
                 '"wall_seconds": 1.0, "outcome": "completed"}'
             ])
 
+    def test_resumed_stream_after_torn_tail(self, tmp_path):
+        # A sweep killed mid-heartbeat, then resumed on the same stream:
+        # the resumed run's meta line must not vanish into the fragment.
+        path = tmp_path / "progress.jsonl"
+        self._run_writer(path, [0.0]).begin(total=2, workers=1)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "progress", "do')
+        resumed = self._run_writer(path, [0.0])
+        resumed.begin(total=2, workers=1, restored=1)
+        resumed.final(done=2, poisoned=0, wall_seconds=1.0)
+        stream = read_progress(str(path))
+        assert stream["meta"]["restored"] == 1
+        assert stream["final"]["done"] == 2
+        assert stream["skipped_lines"] == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert validate_progress_lines(lines) == 3
+
     def test_unwritable_stream_degrades_to_silence(self, tmp_path):
         writer = ProgressWriter(
             str(tmp_path / "missing-dir" / "progress.jsonl"), campaign="run"
         )
         writer.begin(total=1, workers=1)  # must not raise
         writer.final(done=1, poisoned=0, wall_seconds=0.1)
-        writer.close()

@@ -23,7 +23,6 @@ from repro.core.store import (
     result_to_obj,
 )
 from repro.runtime.pool import (
-    POOL_QUARANTINE_KEY,
     PoolConfig,
     PoolStats,
     execute_sharded,
@@ -205,7 +204,7 @@ class TestCheckpointResume:
         assert stats.units_restored == stats.units_total - 1
         assert [f.unit_key for f in stats.failures] == [TARGET_KEY]
         assert _digest(second) == _digest(first)
-        registry = QuarantineRegistry.load(checkpoint, key=POOL_QUARANTINE_KEY)
+        registry = QuarantineRegistry.load(checkpoint)
         assert registry.reason("jbossws", TARGET_KEY, "run") is not None
 
 

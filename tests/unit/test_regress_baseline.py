@@ -178,6 +178,19 @@ class TestAcceptHistory:
         assert len(entries) == 1
         assert entries[0]["timestamp"] == "t1"
 
+    def test_accept_after_torn_tail_is_kept(self, tmp_path):
+        # A promote killed mid-append leaves an unterminated fragment;
+        # the next accept must cut it off, not glue its line onto it.
+        store = BaselineStore(str(tmp_path))
+        store.accept({"run": _snapshot("run")}, timestamp="t1")
+        with open(str(tmp_path / "accepts.jsonl"), "a",
+                  encoding="utf-8") as handle:
+            handle.write('{"kind": "run", "dig')
+        store.accept({"run": _snapshot("run", metric=7)}, timestamp="t2")
+        assert [entry["timestamp"] for entry in store.history()] == [
+            "t1", "t2"
+        ]
+
     def test_no_history_file_is_empty(self, tmp_path):
         assert BaselineStore(str(tmp_path)).history() == []
 
