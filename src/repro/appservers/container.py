@@ -15,7 +15,10 @@ class DeploymentRecord:
     accepted: bool
     reason: str = ""
     wsdl: object = None  # the in-memory WsdlDocument
-    wsdl_text: str = ""  # the serialized document clients download
+    #: The serialized document clients download.  Deployment leaves it
+    #: ``None``: the first read serializes ``wsdl`` and keeps the text,
+    #: so a sweep that tests a sample serializes only its sample.
+    wsdl_text: str = None
     endpoint_url: str = ""
 
     @property
@@ -23,12 +26,33 @@ class DeploymentRecord:
         return f"{self.endpoint_url}?wsdl" if self.accepted else ""
 
 
+def _published_text(record):
+    text = record._wsdl_text
+    if text is None:
+        text = record._wsdl_text = (
+            "" if record.wsdl is None
+            else serialize_wsdl(record.wsdl, pretty=True)
+        )
+    return text
+
+
+def _set_published_text(record, text):
+    record._wsdl_text = text
+
+
+# Installed after ``@dataclass`` has read the field, so ``__init__``,
+# ``dataclasses.replace`` and ``repr`` still see a plain ``wsdl_text``.
+DeploymentRecord.wsdl_text = property(_published_text, _set_published_text)
+
+
 class ApplicationServer:
     """Hosts one server framework; deploys services and publishes WSDLs.
 
     Publication serializes the in-memory document to real XML text —
     clients re-parse it, so the full text round-trip that real tools
-    perform is part of every campaign test.
+    perform is part of every campaign test.  A record serializes on the
+    first read of its ``wsdl_text``, or for the whole container at once
+    with :meth:`publish`.
     """
 
     name = ""
@@ -56,7 +80,6 @@ class ApplicationServer:
                 service=service,
                 accepted=True,
                 wsdl=outcome.wsdl,
-                wsdl_text=serialize_wsdl(outcome.wsdl, pretty=True),
                 endpoint_url=endpoint_url,
             )
         self.deployments.append(record)
@@ -65,6 +88,11 @@ class ApplicationServer:
     def deploy_corpus(self, corpus):
         """Deploy every service; returns the list of records."""
         return [self.deploy(service) for service in corpus]
+
+    def publish(self):
+        """Serialize every deployed record's WSDL now, not on first read."""
+        for record in self.deployed:
+            _published_text(record)
 
     @property
     def deployed(self):

@@ -51,7 +51,12 @@ from repro.runtime import (
     run_full_lifecycle,
 )
 from repro.runtime.wire import transport_factory_for
-from repro.runtime.guard import GuardedStep, GuardLimits, TriageBucket
+from repro.runtime.guard import (
+    GuardedStep,
+    GuardLimits,
+    GuardVerdict,
+    TriageBucket,
+)
 from repro.wsdl.reader import read_wsdl
 from repro.xmlcore import parse as parse_xml
 
@@ -683,11 +688,12 @@ class FuzzCampaign(LifecycleCampaign):
 
     Per server the corpus is deployed once and a deterministic sample
     selected; each sampled service's serialized WSDL is mutated per
-    (kind, intensity, index) with a label-derived seed, and every client
-    runs its guarded read → generate → compile pipeline over the
-    mutant.  The verdicts land in a crash-triage matrix, fatal buckets
-    poison the (server, service, client) triple, and each server's
-    cells and poison entries checkpoint together as one unit payload.
+    (kind, intensity, index) with a label-derived seed.  Each mutant is
+    read once, under the guard, and every client runs its guarded
+    generate → compile pipeline over that one read.  The verdicts land
+    in a crash-triage matrix, fatal buckets poison the (server,
+    service, client) triple, and each server's cells and poison
+    entries checkpoint together as one unit payload.
     """
 
     def __init__(self, config=None):
@@ -765,6 +771,8 @@ class FuzzCampaign(LifecycleCampaign):
                             record.wsdl_text, kind, intensity,
                             server_id, service_name, index,
                         )
+                        # Read once, by the first client not quarantined.
+                        read = None
                         for client_id, client in clients.items():
                             key = _fuzz_cell_key(
                                 server_id, client_id, kind, intensity
@@ -784,8 +792,10 @@ class FuzzCampaign(LifecycleCampaign):
                                     cell.add_quarantined()
                                     mutant_span.annotate(quarantined=True)
                                     continue
+                                if read is None:
+                                    read = self._read(mutant, limits)
                                 bucket, rejected, detail = self._drive(
-                                    mutant, client, limits
+                                    read, client, limits
                                 )
                                 cell.add(bucket, rejected=rejected)
                                 mutant_span.annotate(
@@ -806,25 +816,36 @@ class FuzzCampaign(LifecycleCampaign):
                                     return False
         return True
 
-    def _drive(self, mutant, client, limits):
-        """Guarded wsdl2code pipeline over one mutant.
+    def _read(self, mutant, limits):
+        """The guarded wsdl-read of one mutant, as a :class:`GuardVerdict`.
 
-        Returns ``(bucket, rejected, detail)``: the triage bucket, a
-        flag marking a *classified* tool rejection (diagnostics, not an
-        exception), and the failure detail for the quarantine record.
+        Reading takes no client, so every client of a mutant shares one
+        verdict: a read that times out is a TIMEOUT for all of them.
         """
         read_step = GuardedStep("wsdl-read", _read_mutant, limits=limits)
         try:
             read_step.check_input(mutant.text)
         except Exception as exc:
-            return TriageBucket.RESOURCE_BLOWUP, False, str(exc)
-        parsed = read_step.run(mutant.text, limits.xml)
-        if not parsed.ok:
-            return parsed.bucket, False, parsed.detail
+            return GuardVerdict(
+                step=read_step.name,
+                bucket=TriageBucket.RESOURCE_BLOWUP,
+                detail=str(exc),
+            )
+        return read_step.run(mutant.text, limits.xml)
+
+    def _drive(self, read, client, limits):
+        """Guarded generate → compile pipeline over one mutant's ``read``.
+
+        Returns ``(bucket, rejected, detail)``: the triage bucket, a
+        flag marking a *classified* tool rejection (diagnostics, not an
+        exception), and the failure detail for the quarantine record.
+        """
+        if not read.ok:
+            return read.bucket, False, read.detail
 
         generated = GuardedStep(
             "generate", client.generate, limits=limits
-        ).run(parsed.value)
+        ).run(read.value)
         if not generated.ok:
             return generated.bucket, False, generated.detail
         generation = generated.value

@@ -398,7 +398,8 @@ class InvocationCampaign(LifecycleCampaign):
                         payload.values, verdict.value, shape
                     )
                     problems = validate_response(
-                        transport.last_body, shape, operation
+                        transport.last_body, shape, operation,
+                        envelope=gate.proxy.last_envelope,
                     )
                     if problems:
                         cell.schema_violations += 1

@@ -10,9 +10,10 @@ shapes *before* the decoded comparison runs.  A round trip the client
 calls lossless but whose wire bytes violate the schema is downgraded to
 ``COERCED`` and counted in the cell's ``schema_violations`` overlay.
 
-Validation is pure text analysis over the captured body — fully
+Validation is pure analysis of the captured body — fully
 deterministic, so it changes no digests between runs, worker counts or
-transports.
+transports.  The invoke loop hands it the envelope the client proxy
+already parsed from that body, so each echoed response is parsed once.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ResponseTap:
         return response
 
 
-def validate_response(body, shape, operation):
+def validate_response(body, shape, operation, envelope=None):
     """Problems with the echoed response body, as a tuple of strings.
 
     ``shape`` maps field name → :class:`~repro.invoke.payloads
@@ -64,13 +65,18 @@ def validate_response(body, shape, operation):
     the *server* introduced are reportable — absent fields are legal
     (optional omission), unknown locals stay lax — so a schema-honest
     echo validates clean and the counter isolates real coercions.
+
+    ``envelope`` is ``body`` already parsed — the client proxy's own
+    parse of it — and spares a second parse; without it ``body`` is
+    parsed here.
     """
-    if not body:
-        return ("empty response body",)
-    try:
-        envelope = parse_envelope(body)
-    except Exception as exc:
-        return (f"unparseable response envelope: {exc}",)
+    if envelope is None:
+        if not body:
+            return ("empty response body",)
+        try:
+            envelope = parse_envelope(body)
+        except Exception as exc:
+            return (f"unparseable response envelope: {exc}",)
     wrapper = envelope.body
     if wrapper is None:
         return ("response envelope has no body element",)

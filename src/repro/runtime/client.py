@@ -32,6 +32,10 @@ class GeneratedClientProxy:
         self.bundle = bundle
         self.document = document
         self.transport = transport
+        #: The response envelope the last successful ``invoke`` parsed,
+        #: for callers that inspect the raw response without parsing it
+        #: again; ``None`` until an invocation succeeds.
+        self.last_envelope = None
 
     @property
     def operations(self):
@@ -86,6 +90,7 @@ class GeneratedClientProxy:
             raise ClientInvocationError("empty response body")
         payload = decode_wrapper(envelope.body)
         result = payload.get("return")
+        self.last_envelope = envelope
         return result if isinstance(result, dict) else payload
 
     def _operation(self, name):

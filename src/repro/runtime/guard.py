@@ -26,8 +26,11 @@ any raised error into one of four buckets:
 from __future__ import annotations
 
 import enum
+import os
+import queue
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from repro.obs.trace import current_tracer
@@ -56,8 +59,10 @@ FATAL_BUCKETS = (TriageBucket.TIMEOUT, TriageBucket.TOOL_INTERNAL)
 class GuardLimits:
     """Budgets enforced around one guarded step."""
 
-    #: Wall-clock deadline per step; ``None`` disables the watchdog
-    #: thread and runs the step inline (cheapest, used on trusted input).
+    #: Wall-clock deadline per step.  The step runs on the driving
+    #: thread's long-lived deadline worker, which is replaced only when
+    #: a step is abandoned; ``None`` runs the step inline instead
+    #: (cheapest, used on trusted input).
     deadline_seconds: float = 10.0
     #: Largest description text a step is asked to process at all.
     max_input_bytes: int = 8_000_000
@@ -168,29 +173,95 @@ class GuardedStep:
         return GuardVerdict(step=self.name, bucket=TriageBucket.CLEAN, value=value)
 
     def _call_with_deadline(self, args, kwargs, deadline):
-        box = []
-
-        def worker():
-            box.append(self._call(args, kwargs))
-
-        thread = threading.Thread(
-            target=worker, name=f"guard-{self.name}", daemon=True
-        )
-        thread.start()
-        thread.join(deadline)
-        if thread.is_alive() or not box:
-            # The step is abandoned in its daemon thread; nothing it
-            # computes from here on is observed.
+        worker = _deadline_worker()
+        worker.jobs.put((self._call, args, kwargs))
+        outcome = None
+        try:
+            outcome = worker.results.get(timeout=deadline).pop()
+        except queue.Empty:
+            pass
+        finally:
+            if not isinstance(outcome, GuardVerdict):
+                # Timed out, interrupted while waiting, or the step
+                # raised operator intent: the worker is retired with
+                # whatever it still runs.  A late result lands in a
+                # queue nobody reads again, and the next step gets a
+                # fresh worker.
+                _workers.worker = None
+                worker.stop()
+        if outcome is None:
             return GuardVerdict(
                 step=self.name,
                 bucket=TriageBucket.TIMEOUT,
                 detail=f"{self.name}: exceeded {deadline:g}s wall-clock deadline",
             )
-        # Emptying ``box`` breaks the cycle that a verdict's exception
-        # would close through its traceback and the finished worker's
-        # frame, so the step's input text is freed with the verdict
-        # instead of waiting for the cyclic garbage collector.
-        return box.pop()
+        if isinstance(outcome, BaseException):
+            # KeyboardInterrupt/SystemExit propagate on the driving
+            # thread, as they do inline.
+            raise outcome
+        return outcome
+
+
+class _DeadlineWorker:
+    """One daemon thread that runs a driving thread's guarded steps.
+
+    Jobs go in one at a time; the driving thread waits for each result
+    with the step's deadline.  The thread holds no reference to the
+    worker object, so a worker that is stopped, or dropped because its
+    driving thread died, ends its thread once the step in hand is done.
+    """
+
+    def __init__(self):
+        self.jobs = queue.SimpleQueue()
+        self.results = queue.SimpleQueue()
+        threading.Thread(
+            target=_serve, args=(self.jobs, self.results),
+            name="guard-worker", daemon=True,
+        ).start()
+        #: Ends the thread once the step in hand is done; runs by itself
+        #: when the worker is dropped.
+        self.stop = weakref.finalize(self, self.jobs.put, None)
+
+
+def _serve(jobs, results):
+    """The worker loop: run each ``(call, args, kwargs)`` job until ``None``.
+
+    Each outcome travels in a one-item list the driving thread empties,
+    and the loop drops the job before handing it over, so once a
+    verdict is handed back nothing here keeps the step, its arguments
+    or the verdict alive.  A ``BaseException`` escaping the step is
+    handed back too, for the driving thread to re-raise: a loop that
+    died with it would leave the driving thread waiting out the
+    deadline.
+    """
+    for call, args, kwargs in iter(jobs.get, None):
+        try:
+            box = [call(args, kwargs)]
+        except BaseException as exc:  # noqa: BLE001 — re-raised by run
+            box = [exc]
+        del call, args, kwargs
+        results.put(box)
+
+
+#: Per driving thread: its ``_DeadlineWorker``, once it has run a step.
+_workers = threading.local()
+
+
+def _deadline_worker():
+    worker = getattr(_workers, "worker", None)
+    if worker is None:
+        worker = _workers.worker = _DeadlineWorker()
+    return worker
+
+
+def _forget_workers():
+    # A forked child inherits the forking thread's worker object but
+    # not its thread, so every child starts without workers.
+    global _workers
+    _workers = threading.local()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
 
 
 def run_guarded(name, fn, *args, limits=None, **kwargs):

@@ -114,8 +114,9 @@ def test_guarded_pipeline_is_total(base_texts):
     }
     assert len(clients) == len(PIPELINE_CLIENTS)
     for mutant in _mutants(base_texts):
+        read = campaign._read(mutant, limits)
         for client_id, client in clients.items():
-            bucket, rejected, detail = campaign._drive(mutant, client, limits)
+            bucket, rejected, detail = campaign._drive(read, client, limits)
             assert bucket is not TriageBucket.TOOL_INTERNAL, (
                 f"{client_id} escaped unclassified on {mutant!r}: {detail}"
             )

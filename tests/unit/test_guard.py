@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import multiprocessing
+import threading
 import time
 import weakref
 
@@ -146,12 +148,114 @@ class TestGuardedStep:
         with pytest.raises(KeyboardInterrupt):
             GuardedStep("step", interrupted, limits=INLINE_LIMITS).run()
 
+    @pytest.mark.parametrize("intent", [SystemExit, KeyboardInterrupt])
+    def test_operator_intent_propagates_under_a_deadline(self, intent):
+        def stop():
+            raise intent(3)
+
+        limits = GuardLimits(deadline_seconds=5.0)
+        started = time.perf_counter()
+        with pytest.raises(intent):
+            GuardedStep("s", stop, limits=limits).run()
+        assert time.perf_counter() - started < 2.0
+        verdict = run_guarded("next", lambda: "ok", limits=limits)
+        assert verdict.ok and verdict.value == "ok"
+
     def test_detail_is_truncated(self):
         def verbose():
             raise XmlParseError("y" * 5000)
 
         verdict = run_guarded("parse", verbose)
         assert len(verdict.detail) <= 300
+
+
+def _guarded_in_child(conn):
+    verdict = run_guarded(
+        "child", lambda: "ok", limits=GuardLimits(deadline_seconds=5.0)
+    )
+    conn.send((verdict.bucket.value, verdict.elapsed_seconds))
+    conn.close()
+
+
+class TestDeadlineWorker:
+    LIMITS = GuardLimits(deadline_seconds=5.0)
+
+    def test_deadline_steps_share_one_thread(self):
+        ran_on = []
+
+        def step(value):
+            ran_on.append(threading.current_thread())
+            return value
+
+        before = threading.active_count()
+        for value in range(20):
+            verdict = run_guarded("step", step, value, limits=self.LIMITS)
+            assert verdict.value == value
+        assert threading.active_count() <= before + 1
+        assert all(thread is ran_on[0] for thread in ran_on)
+        assert ran_on[0] is not threading.current_thread()
+
+    def test_abandoned_step_never_reaches_a_later_verdict(self):
+        finished = threading.Event()
+
+        def slow():
+            time.sleep(0.3)
+            finished.set()
+            return "late"
+
+        verdict = run_guarded(
+            "slow", slow, limits=GuardLimits(deadline_seconds=0.05)
+        )
+        assert verdict.bucket is TriageBucket.TIMEOUT
+        started = time.perf_counter()
+        verdict = run_guarded("next", lambda: "mine", limits=self.LIMITS)
+        assert verdict.value == "mine"
+        assert time.perf_counter() - started < 1.0
+        assert finished.wait(5.0)
+        for value in range(5):
+            verdict = run_guarded(
+                "later", lambda v: v, value, limits=self.LIMITS
+            )
+            assert verdict.ok and verdict.value == value
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_child_gets_a_working_worker(self):
+        assert run_guarded("parent", lambda: 1, limits=self.LIMITS).ok
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_guarded_in_child, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(10.0), "child sent no verdict"
+            bucket, elapsed = receiver.recv()
+        finally:
+            child.join(10.0)
+        assert bucket == TriageBucket.CLEAN.value
+        assert elapsed < 2.0
+        assert child.exitcode == 0
+
+    def test_clean_step_input_freed_with_its_verdict(self):
+        # The clean-path twin of the failed-step test above: once the
+        # verdict is handed over, the worker keeps neither the step's
+        # arguments nor its value.
+        class Document:
+            pass
+
+        document = Document()
+        alive = weakref.ref(document)
+        gc.disable()
+        try:
+            verdict = run_guarded("read", lambda doc: [doc], document,
+                                  limits=GuardLimits(deadline_seconds=10.0))
+            assert verdict.ok and verdict.value[0] is document
+            del document, verdict
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestGuardedLifecycle:

@@ -2,10 +2,11 @@
 
 import pytest
 
+import repro.invoke.response as response_module
 from repro.invoke.payloads import FieldShape
 from repro.invoke.response import ResponseTap, validate_response
 from repro.runtime import InMemoryHttpTransport
-from repro.soap.envelope import serialize_envelope
+from repro.soap.envelope import parse_envelope, serialize_envelope
 from repro.xmlcore import Element, QName, XSI_NS
 
 TNS = "urn:test"
@@ -113,6 +114,27 @@ class TestValidateResponse:
 
     def test_absent_optional_fields_are_legal(self):
         assert validate_response(_body([]), _shape(), "echoPlain") == ()
+
+    @pytest.mark.parametrize("children,operation", [
+        ([_field("size", "41"), _field("mode", "on")], "echoPlain"),
+        ([_field("size", "4x1"), _field("mode", "maybe")], "echoPlain"),
+        ([_field("mystery", "x")], "echoPlain"),
+        ([_field("size", "1")], "other"),
+    ])
+    def test_parsed_envelope_validates_like_its_body(self, children,
+                                                     operation):
+        body = _body(children, operation=operation)
+        envelope = parse_envelope(body)
+        assert validate_response(
+            body, _shape(), "echoPlain", envelope=envelope
+        ) == validate_response(body, _shape(), "echoPlain")
+
+    def test_parsed_envelope_is_not_parsed_again(self, monkeypatch):
+        envelope = parse_envelope(_body([_field("size", "41")]))
+        monkeypatch.setattr(response_module, "parse_envelope", None)
+        assert validate_response(
+            "<unused", _shape(), "echoPlain", envelope=envelope
+        ) == ()
 
 
 class TestResponseTap:
