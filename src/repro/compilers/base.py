@@ -62,11 +62,12 @@ class SemanticCompiler:
             result.diagnostics.append(crash)
             return result
 
-        symbols = self._global_symbols(bundle)
+        builtin_keys = self._builtin_keys()
+        unit_keys = {self._fold(unit.name) for unit in bundle.units}
         raw_seen = False
         for unit in bundle.units:
             self._check_duplicates(unit, result)
-            self._check_references(unit, symbols, result)
+            self._check_references(unit, builtin_keys, unit_keys, result)
             if self.warns_on_raw_types and not raw_seen:
                 if any(f.raw_type for f in unit.fields):
                     raw_seen = True
@@ -99,11 +100,17 @@ class SemanticCompiler:
     def _fold(self, name):
         return name if self.case_sensitive else name.lower()
 
-    def _global_symbols(self, bundle):
-        symbols = set(_COMMON_BUILTINS) | set(self.extra_builtins)
-        for unit in bundle.units:
-            symbols.add(unit.name)
-        return {self._fold(symbol) for symbol in symbols}
+    def _builtin_keys(self):
+        """The builtin symbols as lookup keys, folded once per class."""
+        cls = type(self)
+        keys = cls.__dict__.get("_folded_builtins")
+        if keys is None:
+            keys = frozenset(
+                self._fold(symbol)
+                for symbol in _COMMON_BUILTINS | self.extra_builtins
+            )
+            cls._folded_builtins = keys
+        return keys
 
     def _check_duplicates(self, unit, result):
         seen = {}
@@ -147,15 +154,28 @@ class SemanticCompiler:
                 )
             constants.add(key)
 
-    def _check_references(self, unit, symbols, result):
-        local = set(symbols)
-        local.update(self._fold(name) for name in unit.field_names())
-        local.update(self._fold(name) for name in unit.method_names())
+    def _check_references(self, unit, builtin_keys, unit_keys, result):
+        """Look each reference up in four scopes in turn: the builtins,
+        the bundle's unit names, the unit's members, the method's
+        parameters.  Most references resolve in the first two, so the
+        last two are folded only when a reference gets that far."""
+        members = None
         for method in unit.methods:
-            scope = set(local)
-            scope.update(self._fold(p.name) for p in method.params)
+            params = None
             for reference in method.references:
-                if self._fold(reference) not in scope:
+                key = self._fold(reference)
+                if key in builtin_keys or key in unit_keys:
+                    continue
+                if members is None:
+                    members = {
+                        self._fold(name)
+                        for name in (*unit.field_names(), *unit.method_names())
+                    }
+                if key in members:
+                    continue
+                if params is None:
+                    params = {self._fold(p.name) for p in method.params}
+                if key not in params:
                     result.diagnostics.append(
                         CompilerDiagnostic(
                             DiagnosticSeverity.ERROR,

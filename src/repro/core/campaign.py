@@ -53,7 +53,8 @@ class CampaignConfig:
     java_quotas: object = DEFAULT_JAVA_QUOTAS
     dotnet_quotas: object = DEFAULT_DOTNET_QUOTAS
     #: Re-parse the serialized WSDL text for every client test of
-    #: ``run`` instead of sharing one parsed document per service.
+    #: ``run`` instead of sharing one parsed document (and its schema
+    #: facts) per service: each client then scans its own document.
     #: Slower but closest to what real tools do; results are identical
     #: because parsing is deterministic.  It governs ``run`` only: the
     #: fuzz sweep always shares one read per mutant, and the invoke,
@@ -187,6 +188,10 @@ class Campaign:
         worker count — and concatenating all chunk payloads in
         canonical order reproduces the whole record stream exactly.
         """
+        # Imported here, as ``ClientFramework.generate`` imports the
+        # engine, so that importing the CLI does not load it.
+        from repro.frameworks.client.engine import schema_facts
+
         config = self.config
         tracer = current_tracer()
         started = time.perf_counter()
@@ -236,6 +241,11 @@ class Campaign:
                             report.wsi_failing.add(document.name)
                         elif wsi.advisories:
                             report.wsi_advisory_only.add(document.name)
+                        # One schema scan serves every client; a client
+                        # given its own parse scans that document instead.
+                        facts = None
+                        if not config.parse_per_client:
+                            facts = schema_facts(document)
                         for client_id, client in clients.items():
                             if config.parse_per_client:
                                 document_for_client = read_wsdl_text(
@@ -247,7 +257,7 @@ class Campaign:
                                 records.append(
                                     run_client_test(
                                         unit.server_id, client_id, client,
-                                        document_for_client,
+                                        document_for_client, facts,
                                     )
                                 )
         if unit.chunk_index == unit.chunk_count - 1:

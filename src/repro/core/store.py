@@ -29,7 +29,7 @@ import tempfile
 from dataclasses import dataclass
 
 from repro.core.canon import canonical_json
-from repro.core.outcomes import ClientTestRecord, StepOutcome, StepStatus
+from repro.core.outcomes import ClientTestRecord, StepStatus, intern_outcome
 from repro.core.results import CampaignResult, ServerRunReport
 
 _FORMAT_VERSION = 1
@@ -45,11 +45,9 @@ def _outcome_to_obj(outcome):
 
 
 def _outcome_from_obj(obj):
-    return StepOutcome(
-        status=StepStatus(obj["status"]),
-        error_count=obj["errors"],
-        warning_count=obj["warnings"],
-        codes=tuple(obj["codes"]),
+    return intern_outcome(
+        StepStatus(obj["status"]), obj["errors"], obj["warnings"],
+        obj["codes"],
     )
 
 
@@ -72,13 +70,22 @@ def result_to_obj(result, include_records=True):
         },
     }
     if include_records:
+        # Records share a few dozen interned outcomes: convert each once.
+        converted = {}
+
+        def outcome_obj(outcome):
+            found = converted.get(id(outcome))
+            if found is None:
+                found = converted[id(outcome)] = _outcome_to_obj(outcome)
+            return found
+
         obj["records"] = [
             {
                 "server": record.server_id,
                 "client": record.client_id,
                 "service": record.service_name,
-                "generation": _outcome_to_obj(record.generation),
-                "compilation": _outcome_to_obj(record.compilation),
+                "generation": outcome_obj(record.generation),
+                "compilation": outcome_obj(record.compilation),
             }
             for record in result.records
         ]

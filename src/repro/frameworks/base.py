@@ -170,11 +170,16 @@ class ClientFramework:
     nullable_array_helper_bug = False
     crash_on_deep_nullable_arrays = False
 
-    def generate(self, document):
-        """Generate client artifacts for a parsed WSDL document."""
+    def generate(self, document, facts=None):
+        """Generate client artifacts for a parsed WSDL document.
+
+        ``facts`` are the document's
+        :func:`~repro.frameworks.client.engine.schema_facts`, shared by
+        every client of one service; without them the scan runs here.
+        """
         from repro.frameworks.client.engine import run_generation
 
-        return run_generation(self, document)
+        return run_generation(self, document, facts)
 
     def instantiate(self, bundle):
         """Instantiation check for platforms without compilation.

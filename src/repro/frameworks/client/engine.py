@@ -8,7 +8,11 @@
 4. code generation — where the documented codegen bugs inject flawed
    members that the compiler simulators later trip over.
 
-Every behaviour is driven by the tool's flags (see
+The schema scan is split in two.  :func:`schema_facts` walks a
+document once and records every construct some tool cannot process;
+it reads no tool flag, so one walk serves every client of a service.
+``run_generation`` then keeps the facts that the tool's own flags
+reject.  Every behaviour is driven by the tool's flags (see
 :class:`repro.frameworks.base.ClientFramework`); the engine itself is
 framework-neutral.
 """
@@ -16,6 +20,7 @@ framework-neutral.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from repro.artifacts.model import (
     ArtifactBundle,
@@ -25,7 +30,12 @@ from repro.artifacts.model import (
     ParamDecl,
     UnitKind,
 )
-from repro.frameworks.base import GenerationResult, error, warning
+from repro.frameworks.base import (
+    GenerationResult,
+    ToolDiagnostic,
+    error,
+    warning,
+)
 from repro.xmlcore import XSD_NS
 from repro.xsd.model import AnyParticle, ElementParticle, RefParticle
 
@@ -72,11 +82,17 @@ _ACRONYM_PREFIX = re.compile(r"^[A-Z]{3,}[A-Z][a-z]")
 _NUMERIC_XSD = {"int", "long", "short", "byte", "double", "float", "decimal"}
 
 
-def run_generation(tool, document):
-    """Run ``tool`` over ``document``; return a :class:`GenerationResult`."""
+def run_generation(tool, document, facts=None):
+    """Run ``tool`` over ``document``; return a :class:`GenerationResult`.
+
+    ``facts`` are ``document``'s :func:`schema_facts`; they are computed
+    here when the caller does not share them.
+    """
+    if facts is None:
+        facts = schema_facts(document)
     diagnostics = []
-    _emit_chatter(tool, document, diagnostics)
-    _scan_schemas(tool, document, diagnostics)
+    _emit_chatter(tool, document, facts, diagnostics)
+    _read_facts(tool, facts, diagnostics)
 
     if not document.operations:
         _handle_empty_port_type(tool, diagnostics)
@@ -95,11 +111,176 @@ def run_generation(tool, document):
 
 
 # ---------------------------------------------------------------------------
-# chatter and schema scanning
+# schema facts: the client-independent half of the schema scan
+# ---------------------------------------------------------------------------
+
+IMPORT_WITHOUT_LOCATION = "import-without-location"
+XSD_NAMESPACE_REF = "xsd-namespace-ref"
+DANGLING_REF = "dangling-ref"
+LAX_WILDCARD = "lax-wildcard"
+DUPLICATE_ATTRIBUTE = "duplicate-attribute"
+NOTATION_ATTRIBUTE = "notation-attribute"
+KEYREF = "keyref"
+
+#: Which flags make a tool reject each kind of fact.  A tool that
+#: rejects a fact reports the fact's diagnostic; the others ignore it.
+_REJECTS = {
+    IMPORT_WITHOUT_LOCATION: lambda tool: tool.resolves_imports,
+    XSD_NAMESPACE_REF: lambda tool: tool.strict_element_refs and not (
+        tool.supports_schema_in_instance or tool.tolerates_xsd_namespace_refs
+    ),
+    DANGLING_REF: lambda tool: tool.strict_element_refs,
+    LAX_WILDCARD: lambda tool: tool.rejects_lax_wildcards,
+    DUPLICATE_ATTRIBUTE: lambda tool: tool.validates_attribute_uniqueness,
+    NOTATION_ATTRIBUTE: lambda tool: tool.validates_attribute_types,
+    KEYREF: lambda tool: tool.rejects_keyref,
+}
+
+_ID_ATTRIBUTE_WARNING = warning(
+    "schema-validation",
+    "schema validation warning: ID-typed row order attribute has no "
+    "corresponding key",
+)
+_LAX_WILDCARD_ERROR = error(
+    "wildcard-unsupported",
+    "cannot bind wildcard content (xs:any processContents='lax')",
+)
+_RECURSIVE_REFERENCE_ERROR = error(
+    "recursive-reference",
+    "maximum recursion depth exceeded while resolving schema references",
+)
+
+
+@dataclass(frozen=True)
+class SchemaFact:
+    """One construct in a document's schemas that some tool rejects."""
+
+    #: One of the fact kinds above: a key of ``_REJECTS``.
+    kind: str
+    #: The complex type the construct sits in; ``None`` for an import.
+    type_name: str | None
+    #: What a tool that rejects the construct reports.
+    diagnostic: ToolDiagnostic
+
+
+class SchemaFacts:
+    """Everything client-independent that the schema scan finds.
+
+    ``findings`` lists every :class:`SchemaFact` in the order the walk
+    met it, which is the order the diagnostics are reported in.
+    """
+
+    def __init__(self, document, findings, id_attribute):
+        self._document = document
+        self._reference_cycle = None
+        self.findings = findings
+        #: Some complex type has an ``xsd:ID``-typed attribute.
+        self.id_attribute = id_attribute
+
+    @property
+    def reference_cycle(self):
+        """Element↔type references form a cycle: searched on first use,
+        so only the tools that fail on recursive references pay for it."""
+        if self._reference_cycle is None:
+            self._reference_cycle = _has_reference_cycle(self._document)
+        return self._reference_cycle
+
+
+def schema_facts(document):
+    """Walk ``document``'s schemas once; return its :class:`SchemaFacts`.
+
+    Reads no tool flag.  Facts describe the document as it is now:
+    compute them again after editing it.
+    """
+    findings = []
+    id_attribute = False
+    for schema in document.schemas:
+        for imported in schema.imports:
+            if imported.location is None:
+                findings.append(SchemaFact(
+                    IMPORT_WITHOUT_LOCATION, None,
+                    error(
+                        "unresolved-import",
+                        f"cannot import schema for namespace "
+                        f"{imported.namespace!r}: no schemaLocation",
+                    ),
+                ))
+        for ctype in schema.all_complex_types():
+            type_name = ctype.name or "(anonymous)"
+            for particle in ctype.particles:
+                if isinstance(particle, RefParticle):
+                    ref = particle.ref
+                    if ref.namespace == XSD_NS:
+                        findings.append(SchemaFact(
+                            XSD_NAMESPACE_REF, type_name,
+                            error(
+                                "undefined-element",
+                                f"undefined element declaration "
+                                f"'{document.schema_prefix}:{ref.local}'",
+                            ),
+                        ))
+                    elif document.global_element(ref) is None:
+                        findings.append(SchemaFact(
+                            DANGLING_REF, type_name,
+                            error(
+                                "undefined-element",
+                                f"undefined element declaration {ref.text()}",
+                            ),
+                        ))
+                elif (
+                    isinstance(particle, AnyParticle)
+                    and particle.process_contents == "lax"
+                ):
+                    findings.append(
+                        SchemaFact(LAX_WILDCARD, type_name, _LAX_WILDCARD_ERROR)
+                    )
+            seen = set()
+            for attribute in ctype.attributes:
+                if attribute.name is None:
+                    continue
+                if attribute.name in seen:
+                    findings.append(SchemaFact(
+                        DUPLICATE_ATTRIBUTE, type_name,
+                        error(
+                            "duplicate-attribute",
+                            f"attribute {attribute.name!r} is already "
+                            f"defined in type {type_name}",
+                        ),
+                    ))
+                seen.add(attribute.name)
+            for attribute in ctype.attributes:
+                attribute_type = attribute.type_name
+                if attribute_type is None or attribute_type.namespace != XSD_NS:
+                    continue
+                if attribute_type.local == "NOTATION":
+                    findings.append(SchemaFact(
+                        NOTATION_ATTRIBUTE, type_name,
+                        error(
+                            "invalid-attribute-type",
+                            f"attribute {attribute.name!r} has invalid type "
+                            "xsd:NOTATION",
+                        ),
+                    ))
+                elif attribute_type.local == "ID":
+                    id_attribute = True
+            if any(constraint.kind == "keyref" for constraint in ctype.constraints):
+                findings.append(SchemaFact(
+                    KEYREF, type_name,
+                    error(
+                        "keyref-unsupported",
+                        "soapcpp2: cannot map keyref identity constraint "
+                        f"in type {type_name}",
+                    ),
+                ))
+    return SchemaFacts(document, findings, id_attribute)
+
+
+# ---------------------------------------------------------------------------
+# chatter and the tool's reading of the schema facts
 # ---------------------------------------------------------------------------
 
 
-def _emit_chatter(tool, document, diagnostics):
+def _emit_chatter(tool, document, facts, diagnostics):
     if tool.warns_on_foreign_extensions and "jaxws-bindings" in document.extension_markers:
         diagnostics.append(
             warning(
@@ -108,124 +289,19 @@ def _emit_chatter(tool, document, diagnostics):
                 "'jaxws:bindings' was ignored (foreign platform WSDL)",
             )
         )
-    if tool.warns_on_id_attributes:
-        for schema in document.schemas:
-            for ctype in schema.all_complex_types():
-                for attribute in ctype.attributes:
-                    type_name = attribute.type_name
-                    if (
-                        type_name is not None
-                        and type_name.namespace == XSD_NS
-                        and type_name.local == "ID"
-                    ):
-                        diagnostics.append(
-                            warning(
-                                "schema-validation",
-                                "schema validation warning: ID-typed row "
-                                "order attribute has no corresponding key",
-                            )
-                        )
-                        return
+    if tool.warns_on_id_attributes and facts.id_attribute:
+        diagnostics.append(_ID_ATTRIBUTE_WARNING)
 
 
-def _scan_schemas(tool, document, diagnostics):
-    for schema in document.schemas:
-        for imported in schema.imports:
-            if imported.location is None and tool.resolves_imports:
-                diagnostics.append(
-                    error(
-                        "unresolved-import",
-                        f"cannot import schema for namespace "
-                        f"{imported.namespace!r}: no schemaLocation",
-                    )
-                )
-        for ctype in schema.all_complex_types():
-            _scan_particles(tool, document, schema, ctype, diagnostics)
-            _scan_attributes(tool, ctype, diagnostics)
-            if tool.rejects_keyref and any(
-                constraint.kind == "keyref" for constraint in ctype.constraints
-            ):
-                diagnostics.append(
-                    error(
-                        "keyref-unsupported",
-                        "soapcpp2: cannot map keyref identity constraint "
-                        f"in type {ctype.name or '(anonymous)'}",
-                    )
-                )
-    if tool.fails_on_recursive_refs and _has_reference_cycle(document):
-        diagnostics.append(
-            error(
-                "recursive-reference",
-                "maximum recursion depth exceeded while resolving schema "
-                "references",
-            )
+def _read_facts(tool, facts, diagnostics):
+    """Report, in walk order, the facts that ``tool``'s flags reject."""
+    if facts.findings:
+        rejected = {kind for kind, rejects in _REJECTS.items() if rejects(tool)}
+        diagnostics.extend(
+            fact.diagnostic for fact in facts.findings if fact.kind in rejected
         )
-
-
-def _scan_particles(tool, document, schema, ctype, diagnostics):
-    for particle in ctype.particles:
-        if isinstance(particle, RefParticle):
-            ref = particle.ref
-            if ref.namespace == XSD_NS:
-                if tool.supports_schema_in_instance or tool.tolerates_xsd_namespace_refs:
-                    continue
-                if tool.strict_element_refs:
-                    diagnostics.append(
-                        error(
-                            "undefined-element",
-                            f"undefined element declaration "
-                            f"'{document.schema_prefix}:{ref.local}'",
-                        )
-                    )
-            elif document.global_element(ref) is None:
-                if tool.strict_element_refs:
-                    diagnostics.append(
-                        error(
-                            "undefined-element",
-                            f"undefined element declaration {ref.text()}",
-                        )
-                    )
-        elif isinstance(particle, AnyParticle):
-            if tool.rejects_lax_wildcards and particle.process_contents == "lax":
-                diagnostics.append(
-                    error(
-                        "wildcard-unsupported",
-                        "cannot bind wildcard content "
-                        "(xs:any processContents='lax')",
-                    )
-                )
-
-
-def _scan_attributes(tool, ctype, diagnostics):
-    if tool.validates_attribute_uniqueness:
-        seen = set()
-        for attribute in ctype.attributes:
-            if attribute.name is None:
-                continue
-            if attribute.name in seen:
-                diagnostics.append(
-                    error(
-                        "duplicate-attribute",
-                        f"attribute {attribute.name!r} is already defined in "
-                        f"type {ctype.name or '(anonymous)'}",
-                    )
-                )
-            seen.add(attribute.name)
-    if tool.validates_attribute_types:
-        for attribute in ctype.attributes:
-            type_name = attribute.type_name
-            if (
-                type_name is not None
-                and type_name.namespace == XSD_NS
-                and type_name.local == "NOTATION"
-            ):
-                diagnostics.append(
-                    error(
-                        "invalid-attribute-type",
-                        f"attribute {attribute.name!r} has invalid type "
-                        "xsd:NOTATION",
-                    )
-                )
+    if tool.fails_on_recursive_refs and facts.reference_cycle:
+        diagnostics.append(_RECURSIVE_REFERENCE_ERROR)
 
 
 def _handle_empty_port_type(tool, diagnostics):

@@ -9,18 +9,27 @@ or with the size of the deployed corpus:
 * a sampled sweep serializes the WSDL of each sampled record once and
   of no other record;
 * ``run`` serializes every deployed record once, in one batch before
-  its first read.
+  its first read;
+* ``run`` scans each read document for schema facts once, whatever the
+  number of clients, and searches for reference cycles only when a
+  client that fails on them takes part;
+* every step outcome a ``run`` result holds is the one shared object
+  for its verdict, however the result was assembled.
 """
 
 import itertools
+import multiprocessing
 
 import pytest
 
 import repro.appservers.container as container_module
 import repro.core.campaign as campaign_module
+import repro.frameworks.client.engine as engine_module
 import repro.invoke.campaign as invoke_campaign_module
 import repro.invoke.response as response_module
 from repro.core import Campaign, CampaignConfig
+from repro.core.outcomes import intern_outcome
+from repro.core.store import CampaignCheckpoint, result_to_obj
 from repro.core.extended import LifecycleCampaign
 from repro.faults import (
     FaultKind,
@@ -30,13 +39,16 @@ from repro.faults import (
     ResilienceCampaignConfig,
 )
 from repro.invoke.campaign import InvocationCampaign, InvocationCampaignConfig
+from repro.frameworks.registry import CLIENT_IDS
 from repro.obs import Tracer, activate, trace_id_for
+from repro.runtime.pool import PoolConfig, execute_sharded
 from repro.typesystem import QUICK_DOTNET_QUOTAS, QUICK_JAVA_QUOTAS
 
 
-def _quick_config():
+def _quick_config(**kwargs):
     return CampaignConfig(
-        java_quotas=QUICK_JAVA_QUOTAS, dotnet_quotas=QUICK_DOTNET_QUOTAS
+        java_quotas=QUICK_JAVA_QUOTAS, dotnet_quotas=QUICK_DOTNET_QUOTAS,
+        **kwargs,
     )
 
 
@@ -162,3 +174,120 @@ class TestRunSerializesInOneBatch:
             (sum(deployed[: index + 1]), count)
             for index, count in enumerate(deployed)
         ]
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Every document ``run`` reads, in read order."""
+    documents = []
+    original = campaign_module.read_wsdl_text
+
+    def logging_read(text):
+        document = original(text)
+        documents.append(document)
+        return document
+
+    monkeypatch.setattr(campaign_module, "read_wsdl_text", logging_read)
+    return documents
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Every document ``schema_facts`` scans, wherever it is called."""
+    documents = []
+    original = engine_module.schema_facts
+
+    def counting(document):
+        documents.append(document)
+        return original(document)
+
+    monkeypatch.setattr(engine_module, "schema_facts", counting)
+    return documents
+
+
+class TestRunScansEachDocumentOnce:
+    def test_facts_once_per_read_document(self, reads, scans):
+        config = _quick_config()
+        result = Campaign(config).run()
+        assert len(config.client_ids) > 1
+        assert len(reads) == result.services_deployed
+        assert len(scans) == len(reads)
+        assert all(scanned is read for scanned, read in zip(scans, reads))
+
+    def test_a_client_parse_is_scanned_for_itself(self, reads, scans):
+        config = _quick_config(
+            server_ids=("jbossws",), parse_per_client=True
+        )
+        Campaign(config).run()
+        per_service = 1 + len(config.client_ids)
+        assert len(reads) % per_service == 0
+        # Each client's own parse is the document scanned for it; the
+        # shared parse is scanned for nobody.
+        client_reads = [
+            document for index, document in enumerate(reads)
+            if index % per_service
+        ]
+        assert len(scans) == len(client_reads)
+        assert all(
+            scanned is read for scanned, read in zip(scans, client_reads)
+        )
+
+    def test_a_parse_per_client_run_gives_the_default_records(
+        self, quick_campaign_result
+    ):
+        own_parses = Campaign(_quick_config(parse_per_client=True)).run()
+        assert result_to_obj(own_parses) == result_to_obj(quick_campaign_result)
+
+    def test_no_cycle_search_without_a_client_that_fails_on_cycles(
+        self, monkeypatch
+    ):
+        searched = []
+        original = engine_module._has_reference_cycle
+
+        def counting(document):
+            searched.append(document)
+            return original(document)
+
+        monkeypatch.setattr(engine_module, "_has_reference_cycle", counting)
+        without_suds = tuple(
+            client_id for client_id in CLIENT_IDS if client_id != "suds"
+        )
+        Campaign(_quick_config(client_ids=without_suds)).run()
+        assert searched == []
+        result = Campaign(_quick_config(client_ids=("metro", "suds"))).run()
+        assert len(searched) == result.services_deployed
+
+
+def _assert_interned(result):
+    outcomes = [
+        outcome
+        for record in result.records
+        for outcome in (record.generation, record.compilation)
+    ]
+    assert outcomes
+    for outcome in outcomes:
+        assert intern_outcome(
+            outcome.status, outcome.error_count, outcome.warning_count,
+            outcome.codes,
+        ) is outcome
+
+
+class TestRunSharesOneOutcomePerVerdict:
+    def test_serial_run(self):
+        _assert_interned(Campaign(_quick_config()).run())
+
+    def test_checkpoint_resume(self, tmp_path):
+        checkpoint = CampaignCheckpoint(str(tmp_path / "ck"))
+        Campaign(_quick_config()).run(checkpoint=checkpoint)
+        # Every unit is restored from its JSON file this time.
+        _assert_interned(Campaign(_quick_config()).run(checkpoint=checkpoint))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the pool's workers rely on the fork start method",
+    )
+    def test_two_worker_merge(self):
+        result, _ = execute_sharded(
+            Campaign(_quick_config()).shard_job(), PoolConfig(workers=2)
+        )
+        _assert_interned(result)

@@ -1,7 +1,9 @@
 """Unit tests for stats, persistence, extended campaign and the
 experiments report renderer."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -20,6 +22,10 @@ from repro.core.stats import (
 from repro.core.store import load_result, result_from_obj, result_to_obj, save_result
 from repro.reporting import render_experiments_markdown
 from repro.typesystem import QUICK_DOTNET_QUOTAS, QUICK_JAVA_QUOTAS
+
+_RUN_SMOKE_DIGEST = os.path.join(
+    os.path.dirname(__file__), "..", "data", "run_smoke.sha256"
+)
 
 
 class TestStats:
@@ -110,6 +116,19 @@ class TestStore:
 
     def test_json_serializable(self, quick_campaign_result):
         json.dumps(result_to_obj(quick_campaign_result))
+
+    def test_quick_save_matches_the_pinned_digest(
+        self, quick_campaign_result, tmp_path
+    ):
+        """``run --quick --save`` writes these bytes, and a load keeps them."""
+        with open(_RUN_SMOKE_DIGEST, encoding="utf-8") as handle:
+            pinned = handle.read().strip()
+        path = tmp_path / "result.json"
+        save_result(quick_campaign_result, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned
+        again = tmp_path / "again.json"
+        save_result(load_result(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestLifecycleCampaign:
