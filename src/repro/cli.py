@@ -25,20 +25,52 @@ import os
 import signal
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from repro.appservers import container_for
-from repro.core import Campaign, CampaignConfig
+from repro.core import CampaignConfig
 from repro.core.analysis import headline_numbers
-from repro.core.store import StoreError
+from repro.core.canon import CAMPAIGN_KINDS
+from repro.core.extended import LifecycleCampaignConfig
+from repro.core.sharding import campaign_class
+from repro.core.store import (
+    CampaignCheckpoint,
+    StoreError,
+    save_result,
+    write_text_atomic,
+)
 from repro.frameworks.registry import CLIENT_IDS, SERVER_IDS, client_framework
 from repro.regress.diff import UnclassifiedDriftError
+from repro.regress.runner import DEFAULT_SEED
 from repro.reporting import (
     comparison_rows,
+    fuzz_to_json,
+    invoke_to_json,
+    perf_diff_to_json,
+    regress_to_json,
+    render_accept_history,
+    render_client_robustness,
+    render_experiments_markdown,
+    render_fidelity_summary,
     render_fig4,
+    render_fuzz_matrix,
+    render_gate_summary,
+    render_html_report,
+    render_invoke_matrix,
+    render_perf_diff,
+    render_perf_trend,
+    render_pool_summary,
+    render_profile,
+    render_quarantine,
+    render_regress_report,
+    render_resilience_matrix,
     render_table,
     render_table1,
     render_table2,
     render_table3,
+    render_timing_advisory,
+    render_triage_summary,
+    resilience_to_json,
     result_to_json,
     table3_to_csv,
 )
@@ -51,6 +83,47 @@ from repro.typesystem import (
 )
 from repro.wsdl import read_wsdl_text
 from repro.wsi import check_document
+
+
+class UsageError(Exception):
+    """A command line argparse accepts but the command cannot run.
+
+    ``main`` prints it as ``error: <message>`` and exits 2.
+    """
+
+
+def positive_int(text):
+    """``type=`` of ``--workers``, ``--shards`` and ``--sample``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _enum_list(text, enum, noun, plural, parse=None, extra=""):
+    """The ``enum`` members a comma list names; every member when empty."""
+    if not text:
+        return tuple(enum)
+    try:
+        return tuple((parse or enum)(item.strip()) for item in text.split(","))
+    except ValueError:
+        valid = ", ".join(member.value for member in enum)
+        raise UsageError(
+            f"unknown {noun} in {text!r}; valid {plural}: {valid}{extra}"
+        ) from None
+
+
+def _unit_floats(text, flag, noun):
+    """The numbers of a comma list, each within [0, 1]."""
+    try:
+        values = tuple(float(item) for item in text.split(","))
+    except ValueError:
+        raise UsageError(
+            f"{flag} expects comma-separated numbers, got {text!r}"
+        ) from None
+    if any(not 0.0 <= value <= 1.0 for value in values):
+        raise UsageError(f"{noun} must be within [0, 1], got {text!r}")
+    return values
 
 
 def _config_from(args):
@@ -69,10 +142,21 @@ def _progress(message):
 
 def _checkpoint_from(args):
     if getattr(args, "checkpoint_dir", None):
-        from repro.core.store import CampaignCheckpoint
-
         return CampaignCheckpoint(args.checkpoint_dir)
     return None
+
+
+def _write_report(path, render, label=None):
+    """Write ``render()`` to ``path``, when one was given.
+
+    Every report goes through the durable-file layer: a kill never
+    leaves a torn file, and a failed write is a classified
+    ``unwritable`` :class:`StoreError` (exit 2 with a hint).
+    """
+    if path:
+        write_text_atomic(render(), path)
+        if label:
+            print(f"{label} written to {path}", file=sys.stderr)
 
 
 @contextlib.contextmanager
@@ -106,12 +190,6 @@ def flush_signals_to_interrupt():
 
 
 # -- the one sweep path -------------------------------------------------------
-
-
-def _print_pool_summary(stats):
-    from repro.reporting import render_pool_summary
-
-    print(render_pool_summary(stats), file=sys.stderr)
 
 
 def _telemetry_kwargs(args, kind, fingerprint):
@@ -180,7 +258,7 @@ def _sweep(args, campaign, job, trace_dir=None):
         **_telemetry_kwargs(args, job.campaign, fingerprint),
     )
     if workers > 1:
-        _print_pool_summary(stats)
+        print(render_pool_summary(stats), file=sys.stderr)
     if collector is not None:
         path = TraceSink(trace_dir).write(
             collector.trace_id, job.campaign, collector.events,
@@ -191,16 +269,211 @@ def _sweep(args, campaign, job, trace_dir=None):
     return result
 
 
-def _run_campaign(args):
+def _run_campaign(args, row=None):
+    """Build and run one sweep (default ``run``); returns only its result.
+
+    The campaign holds the catalogs and a server's deployment, so it is
+    dropped here, before any report serializes the result: keeping a
+    paper-scale ``run`` campaign alive through ``--save`` raised peak
+    memory by a fifth.
+    """
+    row = row or SWEEPS["run"]
     started = time.time()
-    campaign = Campaign(_config_from(args))
+    campaign = campaign_class(row.kind)(row.config(args))
+    shards = getattr(args, "shards", None)  # only `run` has --shards
     result = _sweep(
         args, campaign,
-        campaign.shard_job(chunks_per_server=getattr(args, "shards", None)),
+        campaign.shard_job(shards) if shards else campaign.shard_job(),
     )
-    elapsed = time.time() - started
-    print(f"campaign finished in {elapsed:.1f}s", file=sys.stderr)
+    print(f"{row.banner} finished in {time.time() - started:.1f}s",
+          file=sys.stderr)
     return result
+
+
+def cmd_sweep(args):
+    """The five sweep commands: one row of :data:`SWEEPS` each."""
+    row = SWEEPS[args.command]
+    return row.report(_run_campaign(args, row), args)
+
+
+def _totals(result):
+    totals = result.totals()
+    return "\n".join(f"{key}: {value}" for key, value in totals.items())
+
+
+def _unclassified_exit(result, what):
+    """3 when unclassified errors escaped the sweep, else 0."""
+    if result.unclassified_total:
+        print(f"error: {result.unclassified_total} {what}", file=sys.stderr)
+        return 3
+    return 0
+
+
+def _report_run(result, args):
+    print(_totals(result))
+    _write_report(args.csv, lambda: table3_to_csv(result),
+                  "per-combination CSV")
+    _write_report(args.json, lambda: result_to_json(result), "JSON")
+    if args.save:
+        save_result(result, args.save)
+        print(f"full result saved to {args.save}", file=sys.stderr)
+    return 0
+
+
+def _resilience_config(args):
+    from repro.faults import (
+        FaultKind,
+        ResilienceCampaignConfig,
+        WireFaultKind,
+        fault_kind_of,
+    )
+
+    wire_valid = ", ".join(kind.value for kind in WireFaultKind)
+    kinds = _enum_list(
+        args.kinds, FaultKind, "fault kind", "kinds", parse=fault_kind_of,
+        extra=f"; wire-only kinds (--transport wire): {wire_valid}",
+    )
+    wire_kinds = [k.value for k in kinds if isinstance(k, WireFaultKind)]
+    if wire_kinds and args.transport != "wire":
+        raise UsageError(
+            f"fault kind(s) {', '.join(wire_kinds)} exist only on the wire; "
+            "re-run with --transport wire"
+        )
+    return ResilienceCampaignConfig(
+        base=_config_from(args), seed=args.seed, fault_kinds=kinds,
+        rates=_unit_floats(args.rates, "--rates", "fault rates"),
+        sample_per_server=args.sample,
+    )
+
+
+def _report_resilience(result, args):
+    print("\n\n".join((
+        render_resilience_matrix(result, only_failing=args.only_failing),
+        render_client_robustness(result),
+        _totals(result),
+    )))
+    _write_report(args.json, lambda: resilience_to_json(result), "JSON")
+    return 0
+
+
+def _fuzz_config(args):
+    from repro.faults import FuzzCampaignConfig, MutationKind
+
+    return FuzzCampaignConfig(
+        base=_config_from(args),
+        seed=args.seed,
+        mutation_kinds=_enum_list(
+            args.kinds, MutationKind, "mutation kind", "kinds"
+        ),
+        intensities=_unit_floats(
+            args.intensities, "--intensities", "intensities"
+        ),
+        mutants_per_config=args.mutants,
+        sample_per_server=args.sample,
+        deadline_seconds=args.deadline,
+        fail_fast=args.fail_fast,
+    )
+
+
+def _report_fuzz(result, args):
+    print("\n\n".join((
+        render_fuzz_matrix(result, only_failing=args.only_failing),
+        render_triage_summary(result),
+        render_quarantine(result),
+        _totals(result),
+    )))
+    _write_report(args.json, lambda: fuzz_to_json(result), "JSON")
+    if result.aborted:
+        print("error: sweep aborted by --fail-fast on an unclassified "
+              "tool-internal error", file=sys.stderr)
+        return 3
+    return _unclassified_exit(
+        result, "mutants escaped with unclassified (tool-internal) errors"
+    )
+
+
+def _invoke_config(args):
+    from repro.invoke import InvocationCampaignConfig, PayloadClass
+
+    return InvocationCampaignConfig(
+        base=_config_from(args),
+        seed=args.seed,
+        payload_classes=_enum_list(
+            args.classes, PayloadClass, "payload class", "classes"
+        ),
+        payloads_per_class=args.payloads,
+        sample_per_server=args.sample,
+        deadline_seconds=args.deadline,
+        service_filter=args.services or "",
+    )
+
+
+def _report_invoke(result, args):
+    if not result.services_matched and args.services:
+        print(f"no deployed service matches --services "
+              f"{args.services!r}; nothing was invoked", file=sys.stderr)
+    print("\n\n".join((
+        render_invoke_matrix(result, only_failing=args.only_failing),
+        render_fidelity_summary(result),
+        render_gate_summary(result),
+        render_quarantine(result),
+        _totals(result),
+    )))
+    _write_report(args.json, lambda: invoke_to_json(result), "JSON")
+    return _unclassified_exit(
+        result, "invocations escaped with unclassified errors"
+    )
+
+
+def _report_lifecycle(result, args):
+    rows = [
+        (server_id, client_id) + result.cell(server_id, client_id).as_row()
+        for server_id in result.server_ids
+        for client_id in result.client_ids
+    ]
+    print("\n\n".join((
+        render_table(
+            ("Server", "Client", "GenErr", "CompErr", "CommErr", "ExecErr",
+             "Done"),
+            rows,
+            title="Five-step lifecycle outcomes",
+        ),
+        _totals(result),
+    )))
+    print(f"completion ratio: {result.completion_ratio():.3f}")
+    return 0
+
+
+class SweepCommand(NamedTuple):
+    """One sweep command: what :func:`cmd_sweep` runs and reports."""
+
+    #: The engine kind (a ``sharding._CAMPAIGN_CLASSES`` key).
+    kind: str
+    #: Printed to stderr as ``<banner> finished in <seconds>s``.
+    banner: str
+    #: ``config(args)``: the kind's campaign configuration.
+    config: Callable
+    #: ``report(result, args)``: prints and writes; returns the exit code.
+    report: Callable
+
+
+#: ``{command: row}`` for the five sweep commands.
+SWEEPS = {
+    "run": SweepCommand("run", "campaign", _config_from, _report_run),
+    "resilience": SweepCommand(
+        "resilience", "resilience sweep", _resilience_config,
+        _report_resilience,
+    ),
+    "fuzz": SweepCommand("fuzz", "fuzz sweep", _fuzz_config, _report_fuzz),
+    "invoke": SweepCommand(
+        "invoke", "invocation sweep", _invoke_config, _report_invoke
+    ),
+    "lifecycle-campaign": SweepCommand(
+        "lifecycle", "lifecycle sweep",
+        lambda args: LifecycleCampaignConfig(_config_from(args), args.sample),
+        _report_lifecycle,
+    ),
+}
 
 
 def cmd_tables(args):
@@ -223,27 +496,6 @@ def cmd_corpus(args):
         print(java.summary())
         print(dotnet.summary())
     print(f"total services to generate: {len(java) * 2 + len(dotnet)}")
-    return 0
-
-
-def cmd_run(args):
-    result = _run_campaign(args)
-    totals = result.totals()
-    for key, value in totals.items():
-        print(f"{key}: {value}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(table3_to_csv(result))
-        print(f"per-combination CSV written to {args.csv}", file=sys.stderr)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(result_to_json(result))
-        print(f"JSON written to {args.json}", file=sys.stderr)
-    if args.save:
-        from repro.core.store import save_result
-
-        save_result(result, args.save)
-        print(f"full result saved to {args.save}", file=sys.stderr)
     return 0
 
 
@@ -273,15 +525,9 @@ def cmd_report(args):
             title="Paper vs measured",
         )
     )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(result_to_json(result))
-    if args.html:
-        from repro.reporting import render_html_report
-
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_html_report(result))
-        print(f"HTML report written to {args.html}", file=sys.stderr)
+    _write_report(args.json, lambda: result_to_json(result))
+    _write_report(args.html, lambda: render_html_report(result),
+                  "HTML report")
     return 0
 
 
@@ -295,15 +541,11 @@ def _deploy_one(server_id, type_name):
 def cmd_experiments(args):
     started = time.time()
     result = _run_campaign(args)
-    from repro.reporting import render_experiments_markdown
-
     markdown = render_experiments_markdown(
         result, elapsed_seconds=time.time() - started
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(markdown)
-        print(f"experiment report written to {args.output}", file=sys.stderr)
+        _write_report(args.output, lambda: markdown, "experiment report")
     else:
         print(markdown)
     return 0
@@ -368,245 +610,6 @@ def cmd_stats(args):
     return 0
 
 
-def cmd_lifecycle_campaign(args):
-    from repro.core.extended import LifecycleCampaign
-
-    campaign = LifecycleCampaign(
-        _config_from(args), sample_per_server=args.sample
-    )
-    result = campaign.run(progress=_progress if args.verbose else None)
-    rows = []
-    for server_id in result.server_ids:
-        for client_id in result.client_ids:
-            cell = result.cell(server_id, client_id)
-            rows.append((server_id, client_id) + cell.as_row())
-    print(
-        render_table(
-            ("Server", "Client", "GenErr", "CompErr", "CommErr", "ExecErr", "Done"),
-            rows,
-            title="Five-step lifecycle outcomes",
-        )
-    )
-    totals = result.totals()
-    print()
-    for key, value in totals.items():
-        print(f"{key}: {value}")
-    print(f"completion ratio: {result.completion_ratio():.3f}")
-    return 0
-
-
-def cmd_resilience(args):
-    from repro.faults import (
-        FaultKind,
-        ResilienceCampaign,
-        ResilienceCampaignConfig,
-        WireFaultKind,
-        fault_kind_of,
-    )
-    from repro.reporting import (
-        render_client_robustness,
-        render_resilience_matrix,
-        resilience_to_json,
-    )
-
-    try:
-        if args.kinds:
-            kinds = tuple(
-                fault_kind_of(kind.strip()) for kind in args.kinds.split(",")
-            )
-        else:
-            kinds = tuple(FaultKind)
-    except ValueError:
-        valid = ", ".join(kind.value for kind in FaultKind)
-        wire_valid = ", ".join(kind.value for kind in WireFaultKind)
-        print(f"error: unknown fault kind in {args.kinds!r}; "
-              f"valid kinds: {valid}; "
-              f"wire-only kinds (--transport wire): {wire_valid}",
-              file=sys.stderr)
-        return 2
-    wire_kinds = [k.value for k in kinds if isinstance(k, WireFaultKind)]
-    if wire_kinds and getattr(args, "transport", "memory") != "wire":
-        print(f"error: fault kind(s) {', '.join(wire_kinds)} exist only on "
-              f"the wire; re-run with --transport wire", file=sys.stderr)
-        return 2
-    try:
-        rates = tuple(float(rate) for rate in args.rates.split(","))
-    except ValueError:
-        print(f"error: --rates expects comma-separated numbers, "
-              f"got {args.rates!r}", file=sys.stderr)
-        return 2
-    if any(not 0.0 <= rate <= 1.0 for rate in rates):
-        print(f"error: fault rates must be within [0, 1], got {args.rates!r}",
-              file=sys.stderr)
-        return 2
-    config = ResilienceCampaignConfig(
-        base=_config_from(args),
-        seed=args.seed,
-        fault_kinds=kinds,
-        rates=rates,
-        sample_per_server=args.sample,
-    )
-    campaign = ResilienceCampaign(config)
-    started = time.time()
-    result = _sweep(args, campaign, campaign.shard_job())
-    print(f"resilience sweep finished in {time.time() - started:.1f}s",
-          file=sys.stderr)
-    print(render_resilience_matrix(result, only_failing=args.only_failing))
-    print()
-    print(render_client_robustness(result))
-    totals = result.totals()
-    print()
-    for key, value in totals.items():
-        print(f"{key}: {value}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(resilience_to_json(result))
-        print(f"JSON written to {args.json}", file=sys.stderr)
-    return 0
-
-
-def cmd_fuzz(args):
-    from repro.faults import (
-        FuzzCampaign,
-        FuzzCampaignConfig,
-        MutationKind,
-    )
-    from repro.reporting import (
-        fuzz_to_json,
-        render_fuzz_matrix,
-        render_quarantine,
-        render_triage_summary,
-    )
-
-    try:
-        if args.kinds:
-            kinds = tuple(
-                MutationKind(kind.strip()) for kind in args.kinds.split(",")
-            )
-        else:
-            kinds = tuple(MutationKind)
-    except ValueError:
-        valid = ", ".join(kind.value for kind in MutationKind)
-        print(f"error: unknown mutation kind in {args.kinds!r}; "
-              f"valid kinds: {valid}", file=sys.stderr)
-        return 2
-    try:
-        intensities = tuple(
-            float(value) for value in args.intensities.split(",")
-        )
-    except ValueError:
-        print(f"error: --intensities expects comma-separated numbers, "
-              f"got {args.intensities!r}", file=sys.stderr)
-        return 2
-    if any(not 0.0 <= value <= 1.0 for value in intensities):
-        print(f"error: intensities must be within [0, 1], "
-              f"got {args.intensities!r}", file=sys.stderr)
-        return 2
-    config = FuzzCampaignConfig(
-        base=_config_from(args),
-        seed=args.seed,
-        mutation_kinds=kinds,
-        intensities=intensities,
-        mutants_per_config=args.mutants,
-        sample_per_server=args.sample,
-        deadline_seconds=args.deadline,
-        fail_fast=args.fail_fast,
-    )
-    campaign = FuzzCampaign(config)
-    started = time.time()
-    result = _sweep(args, campaign, campaign.shard_job())
-    print(f"fuzz sweep finished in {time.time() - started:.1f}s",
-          file=sys.stderr)
-    print(render_fuzz_matrix(result, only_failing=args.only_failing))
-    print()
-    print(render_triage_summary(result))
-    print()
-    print(render_quarantine(result))
-    totals = result.totals()
-    print()
-    for key, value in totals.items():
-        print(f"{key}: {value}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(fuzz_to_json(result))
-        print(f"JSON written to {args.json}", file=sys.stderr)
-    if result.aborted:
-        print("error: sweep aborted by --fail-fast on an unclassified "
-              "tool-internal error", file=sys.stderr)
-        return 3
-    if result.unclassified_total:
-        print(f"error: {result.unclassified_total} mutants escaped with "
-              "unclassified (tool-internal) errors", file=sys.stderr)
-        return 3
-    return 0
-
-
-def cmd_invoke(args):
-    from repro.invoke import (
-        InvocationCampaign,
-        InvocationCampaignConfig,
-        PayloadClass,
-    )
-    from repro.reporting import (
-        invoke_to_json,
-        render_fidelity_summary,
-        render_gate_summary,
-        render_invoke_matrix,
-        render_quarantine,
-    )
-
-    try:
-        if args.classes:
-            classes = tuple(
-                PayloadClass(cls.strip()) for cls in args.classes.split(",")
-            )
-        else:
-            classes = tuple(PayloadClass)
-    except ValueError:
-        valid = ", ".join(cls.value for cls in PayloadClass)
-        print(f"error: unknown payload class in {args.classes!r}; "
-              f"valid classes: {valid}", file=sys.stderr)
-        return 2
-    config = InvocationCampaignConfig(
-        base=_config_from(args),
-        seed=args.seed,
-        payload_classes=classes,
-        payloads_per_class=args.payloads,
-        sample_per_server=args.sample,
-        deadline_seconds=args.deadline,
-        service_filter=args.services or "",
-    )
-    campaign = InvocationCampaign(config)
-    started = time.time()
-    result = _sweep(args, campaign, campaign.shard_job())
-    print(f"invocation sweep finished in {time.time() - started:.1f}s",
-          file=sys.stderr)
-    if not result.services_matched and config.service_filter:
-        print(f"no deployed service matches --services "
-              f"{config.service_filter!r}; nothing was invoked",
-              file=sys.stderr)
-    print(render_invoke_matrix(result, only_failing=args.only_failing))
-    print()
-    print(render_fidelity_summary(result))
-    print()
-    print(render_gate_summary(result))
-    print()
-    print(render_quarantine(result))
-    totals = result.totals()
-    print()
-    for key, value in totals.items():
-        print(f"{key}: {value}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(invoke_to_json(result))
-        print(f"JSON written to {args.json}", file=sys.stderr)
-    if result.unclassified_total:
-        print(f"error: {result.unclassified_total} invocations escaped "
-              "with unclassified errors", file=sys.stderr)
-        return 3
-    return 0
-
-
 def _git_rev():
     """Best-effort short git revision for the accept history; "" offline."""
     import subprocess
@@ -628,33 +631,26 @@ def cmd_regress(args):
         build_report,
         run_sweeps,
     )
-    from repro.reporting import (
-        regress_to_json,
-        render_accept_history,
-        render_regress_report,
-    )
-
-    from repro.core.canon import CAMPAIGN_KINDS
 
     if args.history:
         print(render_accept_history(BaselineStore(args.baseline_dir).history()))
         return 0
+    campaigns = CAMPAIGN_KINDS
     if args.campaigns:
         requested = tuple(kind.strip() for kind in args.campaigns.split(","))
         unknown = [kind for kind in requested if kind not in CAMPAIGN_KINDS]
         if unknown:
-            valid = ", ".join(CAMPAIGN_KINDS)
-            print(f"error: unknown campaign kind(s) {', '.join(unknown)}; "
-                  f"valid kinds: {valid}", file=sys.stderr)
-            return 2
+            raise UsageError(
+                f"unknown campaign kind(s) {', '.join(unknown)}; "
+                f"valid kinds: {', '.join(CAMPAIGN_KINDS)}"
+            )
         # Canonical report order regardless of how the CSV was written.
         campaigns = tuple(k for k in CAMPAIGN_KINDS if k in requested)
-    else:
-        campaigns = CAMPAIGN_KINDS
     if args.perturb and args.perturb not in campaigns:
-        print(f"error: --perturb {args.perturb!r} is not among the swept "
-              f"campaigns {', '.join(campaigns)}", file=sys.stderr)
-        return 2
+        raise UsageError(
+            f"--perturb {args.perturb!r} is not among the swept "
+            f"campaigns {', '.join(campaigns)}"
+        )
 
     configs = build_configs(
         campaigns, _config_from(args), seed=args.seed, sample=args.sample,
@@ -674,7 +670,7 @@ def cmd_regress(args):
     )
     if args.workers > 1:
         for stats in pool_stats.values():
-            _print_pool_summary(stats)
+            print(render_pool_summary(stats), file=sys.stderr)
     print(f"regress sweep ({', '.join(campaigns)}) finished in "
           f"{time.time() - started:.1f}s", file=sys.stderr)
 
@@ -696,17 +692,13 @@ def cmd_regress(args):
     )
     print(render_regress_report(report))
     if args.perf_ledger:
-        from repro.reporting import render_timing_advisory
-
         # Advisory only: rendered text, never folded into exit_code.
         print()
         print(render_timing_advisory(
             _timing_advisories(args.perf_ledger, campaigns, configs)
         ))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(regress_to_json(report))
-        print(f"drift report written to {args.report}", file=sys.stderr)
+    _write_report(args.report, lambda: regress_to_json(report),
+                  "drift report")
     return report.exit_code
 
 
@@ -782,24 +774,9 @@ def cmd_lifecycle(args):
 
 
 def cmd_profile(args):
-    from repro.obs import TraceValidationError, load_trace
-    from repro.reporting import render_profile
+    from repro.obs import load_trace
 
-    try:
-        trace = load_trace(args.trace)
-    except TraceValidationError as exc:
-        print(f"error: invalid trace: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError:
-        print(f"error: no trace found at {args.trace!r}; run a sweep with "
-              "--trace-dir first, then point `profile` at that directory "
-              "or its trace.jsonl", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read trace {args.trace!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    print(render_profile(trace, top=args.top))
+    print(render_profile(load_trace(args.trace), top=args.top))
     return 0
 
 
@@ -838,7 +815,6 @@ def _record_sweep_trace(args):
     """
     import tempfile
 
-    from repro.core.sharding import campaign_class
     from repro.obs import load_trace
     from repro.regress.runner import build_configs
 
@@ -863,23 +839,13 @@ def _record_sweep_trace(args):
 
 
 def cmd_perf_record(args):
-    from repro.obs import PerfLedger, TraceValidationError, load_trace
+    from repro.obs import PerfLedger, load_trace
     from repro.obs.perf import perf_profile
 
     if args.trace:
-        try:
-            trace = load_trace(args.trace)
-        except TraceValidationError as exc:
-            print(f"error: invalid trace: {exc}", file=sys.stderr)
-            return 2
-        except (OSError, ValueError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read trace {args.trace!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        seed = None
+        trace, seed = load_trace(args.trace), None
     else:
-        trace = _record_sweep_trace(args)
-        seed = args.seed
+        trace, seed = _record_sweep_trace(args), args.seed
     profile = perf_profile(trace)
     ledger = PerfLedger(args.ledger_dir)
     entry = ledger.record(
@@ -900,7 +866,6 @@ def cmd_perf_record(args):
 
 def cmd_perf_diff(args):
     from repro.obs import PerfLedger, diff_profiles
-    from repro.reporting import perf_diff_to_json, render_perf_diff
 
     ledger = PerfLedger(args.ledger_dir)
     entry_a = ledger.resolve(args.ref_a, kind=args.kind)
@@ -918,21 +883,17 @@ def cmd_perf_diff(args):
             min_ratio=args.min_ratio,
         )
     except ValueError as exc:
-        print(f"error: {exc} (narrow the references with --kind)",
-              file=sys.stderr)
-        return 2
+        raise UsageError(
+            f"{exc} (narrow the references with --kind)"
+        ) from None
     print(render_perf_diff(diff, label_a=label(entry_a),
                            label_b=label(entry_b)))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(perf_diff_to_json(diff, indent=2))
-        print(f"JSON written to {args.json}", file=sys.stderr)
+    _write_report(args.json, lambda: perf_diff_to_json(diff, indent=2), "JSON")
     return 2 if diff.significant else 0
 
 
 def cmd_perf_trend(args):
     from repro.obs import PerfLedger
-    from repro.reporting import render_perf_trend
 
     ledger = PerfLedger(args.ledger_dir)
     entries, skipped = ledger.entries(kind=args.kind)
@@ -982,6 +943,57 @@ def _timing_advisories(ledger_dir, campaigns, configs):
     return advisories
 
 
+def _add_common_arguments(parser, quick_help=None):
+    """``--quick`` and ``--verbose``: every command that runs a sweep."""
+    parser.add_argument("--quick", action="store_true", help=quick_help)
+    parser.add_argument("--verbose", action="store_true")
+
+
+def _add_sample_argument(parser, default, help_text):
+    parser.add_argument(
+        "--sample", type=positive_int, default=default, help=help_text
+    )
+
+
+def _add_seed_sample_arguments(parser, seed_help, sample, sample_help):
+    """The sampled sweeps' ``--seed`` and ``--sample``."""
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=seed_help)
+    _add_sample_argument(parser, sample, sample_help)
+
+
+def _add_fleet_arguments(parser, seed_help, sample_help, sweep):
+    """The ``regress`` / ``perf record`` sweep shape: ``--seed``,
+    ``--sample``, ``--payloads`` and ``--mutants``."""
+    _add_seed_sample_arguments(parser, seed_help, 2, sample_help)
+    parser.add_argument(
+        "--payloads", type=int, default=1,
+        help=f"invoke {sweep}: payloads per (service, class) combination",
+    )
+    parser.add_argument(
+        "--mutants", type=int, default=1,
+        help=f"fuzz {sweep}: mutants per (service, kind, intensity)",
+    )
+
+
+def _add_sweep_arguments(parser, json_help, checkpoint_help,
+                         failing_help=None, save_help=None, transport=True,
+                         shards=False):
+    """The flags the sweep commands share, in their help order:
+    ``--only-failing``, ``--json``, ``run``'s ``--save``,
+    ``--checkpoint-dir``, ``--transport`` and the pool flags."""
+    if failing_help:
+        parser.add_argument("--only-failing", action="store_true",
+                            help=failing_help)
+    parser.add_argument("--json", help=json_help)
+    if save_help:
+        parser.add_argument("--save", help=save_help)
+    parser.add_argument("--checkpoint-dir", help=checkpoint_help)
+    if transport:
+        _add_transport_argument(parser)
+    _add_pool_arguments(parser, shards=shards)
+
+
 def _add_transport_argument(parser):
     parser.add_argument(
         "--transport", choices=("memory", "wire"), default="memory",
@@ -993,7 +1005,7 @@ def _add_transport_argument(parser):
 
 def _add_pool_arguments(parser, shards=False):
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=positive_int, default=1,
         help="worker processes; 1 runs the sweep in-process, >1 as a "
         "supervised process-isolated pool (results are byte-identical)",
     )
@@ -1021,10 +1033,16 @@ def _add_pool_arguments(parser, shards=False):
     )
     if shards:
         parser.add_argument(
-            "--shards", type=int, default=None,
+            "--shards", type=positive_int, default=None,
             help="service chunks per server (default 4); worker-count "
             "independent and part of the checkpoint fingerprint",
         )
+
+
+def _add_ledger_arguments(parser, kind_help):
+    """``perf diff`` / ``perf trend``: the ledger and a kind filter."""
+    parser.add_argument("--ledger-dir", required=True, metavar="DIR")
+    parser.add_argument("--kind", choices=CAMPAIGN_KINDS, help=kind_help)
 
 
 def build_parser():
@@ -1035,49 +1053,42 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("tables", help="print Tables I and II").set_defaults(
-        func=cmd_tables
-    )
-    corpus_parser = sub.add_parser(
-        "corpus", help="print the type-catalog populations"
-    )
-    corpus_parser.add_argument(
+    def command(name, func, help_text, quick=False, quick_help=None):
+        """A subcommand; ``quick`` adds ``--quick`` and ``--verbose``."""
+        child = sub.add_parser(name, help=help_text)
+        child.set_defaults(func=func)
+        if quick:
+            _add_common_arguments(child, quick_help)
+        return child
+
+    command("tables", cmd_tables, "print Tables I and II")
+    command(
+        "corpus", cmd_corpus, "print the type-catalog populations"
+    ).add_argument(
         "--detail", action="store_true",
         help="kinds, namespaces and failure-class populations",
     )
-    corpus_parser.set_defaults(func=cmd_corpus)
 
-    run_parser = sub.add_parser("run", help="run the campaign, print totals")
-    run_parser.add_argument("--quick", action="store_true", help="small corpora")
-    run_parser.add_argument("--verbose", action="store_true")
+    run_parser = command("run", cmd_sweep, "run the campaign, print totals",
+                         quick=True, quick_help="small corpora")
     run_parser.add_argument("--csv", help="write per-combination CSV here")
-    run_parser.add_argument("--json", help="write JSON results here")
-    run_parser.add_argument(
-        "--save", help="persist the full result (re-analyzable with `analyze`)"
+    _add_sweep_arguments(
+        run_parser, json_help="write JSON results here",
+        save_help="persist the full result (re-analyzable with `analyze`)",
+        checkpoint_help="checkpoint each completed shard unit here; re-run "
+        "(under any --workers count) to resume",
+        shards=True,
     )
-    run_parser.add_argument(
-        "--checkpoint-dir",
-        help="checkpoint each completed shard unit here; re-run (under "
-        "any --workers count) to resume",
-    )
-    _add_transport_argument(run_parser)
-    _add_pool_arguments(run_parser, shards=True)
-    run_parser.set_defaults(func=cmd_run)
 
-    resilience_parser = sub.add_parser(
-        "resilience",
-        help="seeded fault-injection sweep over the five-step lifecycle",
+    resilience_parser = command(
+        "resilience", cmd_sweep,
+        "seeded fault-injection sweep over the five-step lifecycle",
+        quick=True, quick_help="small corpora",
     )
-    resilience_parser.add_argument("--quick", action="store_true",
-                                   help="small corpora")
-    resilience_parser.add_argument("--verbose", action="store_true")
-    resilience_parser.add_argument(
-        "--seed", type=int, default=20140622,
-        help="fault-schedule seed (same seed = identical results)",
-    )
-    resilience_parser.add_argument(
-        "--sample", type=int, default=20,
-        help="deployed services per server driven through each fault config",
+    _add_seed_sample_arguments(
+        resilience_parser,
+        "fault-schedule seed (same seed = identical results)", 20,
+        "deployed services per server driven through each fault config",
     )
     resilience_parser.add_argument(
         "--kinds",
@@ -1088,34 +1099,22 @@ def build_parser():
         "--rates", default="0.15,0.35",
         help="comma-separated injection rates to sweep",
     )
-    resilience_parser.add_argument(
-        "--only-failing", action="store_true",
-        help="print only matrix rows with failures or recoveries",
+    _add_sweep_arguments(
+        resilience_parser, json_help="write the matrices here",
+        failing_help="print only matrix rows with failures or recoveries",
+        checkpoint_help="checkpoint each completed server here; re-run to "
+        "resume",
     )
-    resilience_parser.add_argument("--json", help="write the matrices here")
-    resilience_parser.add_argument(
-        "--checkpoint-dir",
-        help="checkpoint each completed server here; re-run to resume",
-    )
-    _add_transport_argument(resilience_parser)
-    _add_pool_arguments(resilience_parser)
-    resilience_parser.set_defaults(func=cmd_resilience)
 
-    fuzz_parser = sub.add_parser(
-        "fuzz",
-        help="seeded WSDL-corruption sweep over the guarded wsdl2code "
+    fuzz_parser = command(
+        "fuzz", cmd_sweep,
+        "seeded WSDL-corruption sweep over the guarded wsdl2code "
         "pipeline (crash-triage matrices)",
+        quick=True, quick_help="small corpora",
     )
-    fuzz_parser.add_argument("--quick", action="store_true",
-                             help="small corpora")
-    fuzz_parser.add_argument("--verbose", action="store_true")
-    fuzz_parser.add_argument(
-        "--seed", type=int, default=20140622,
-        help="mutation seed (same seed = byte-identical matrices)",
-    )
-    fuzz_parser.add_argument(
-        "--sample", type=int, default=6,
-        help="deployed services per server fed to the mutator",
+    _add_seed_sample_arguments(
+        fuzz_parser, "mutation seed (same seed = byte-identical matrices)",
+        6, "deployed services per server fed to the mutator",
     )
     fuzz_parser.add_argument(
         "--kinds",
@@ -1138,34 +1137,23 @@ def build_parser():
         "--fail-fast", action="store_true",
         help="abort the sweep at the first unclassified error",
     )
-    fuzz_parser.add_argument(
-        "--only-failing", action="store_true",
-        help="print only matrix rows with non-clean triage buckets",
+    _add_sweep_arguments(
+        fuzz_parser, json_help="write the triage matrices here",
+        failing_help="print only matrix rows with non-clean triage buckets",
+        checkpoint_help="checkpoint each completed server here; re-run to "
+        "resume (quarantined cells stay quarantined)",
+        transport=False,
     )
-    fuzz_parser.add_argument("--json", help="write the triage matrices here")
-    fuzz_parser.add_argument(
-        "--checkpoint-dir",
-        help="checkpoint each completed server here; re-run to resume "
-        "(quarantined cells stay quarantined)",
-    )
-    _add_pool_arguments(fuzz_parser)
-    fuzz_parser.set_defaults(func=cmd_fuzz)
 
-    invoke_parser = sub.add_parser(
-        "invoke",
-        help="step-4 invocation sweep: schema-derived payloads through "
+    invoke_parser = command(
+        "invoke", cmd_sweep,
+        "step-4 invocation sweep: schema-derived payloads through "
         "the live echo path (round-trip fidelity matrices)",
+        quick=True, quick_help="small corpora",
     )
-    invoke_parser.add_argument("--quick", action="store_true",
-                               help="small corpora")
-    invoke_parser.add_argument("--verbose", action="store_true")
-    invoke_parser.add_argument(
-        "--seed", type=int, default=20140622,
-        help="payload seed (same seed = byte-identical matrices)",
-    )
-    invoke_parser.add_argument(
-        "--sample", type=int, default=6,
-        help="deployed services per server driven through the sweep",
+    _add_seed_sample_arguments(
+        invoke_parser, "payload seed (same seed = byte-identical matrices)",
+        6, "deployed services per server driven through the sweep",
     )
     invoke_parser.add_argument(
         "--classes",
@@ -1184,23 +1172,16 @@ def build_parser():
         "--deadline", type=float, default=10.0,
         help="wall-clock seconds allowed per guarded invocation",
     )
-    invoke_parser.add_argument(
-        "--only-failing", action="store_true",
-        help="print only matrix rows with non-lossless round trips",
+    _add_sweep_arguments(
+        invoke_parser, json_help="write the fidelity matrices here",
+        failing_help="print only matrix rows with non-lossless round trips",
+        checkpoint_help="checkpoint each completed server here; re-run to "
+        "resume (quarantined cells stay quarantined)",
     )
-    invoke_parser.add_argument("--json", help="write the fidelity matrices here")
-    invoke_parser.add_argument(
-        "--checkpoint-dir",
-        help="checkpoint each completed server here; re-run to resume "
-        "(quarantined cells stay quarantined)",
-    )
-    _add_transport_argument(invoke_parser)
-    _add_pool_arguments(invoke_parser)
-    invoke_parser.set_defaults(func=cmd_invoke)
 
-    regress_parser = sub.add_parser(
-        "regress",
-        help="run the sweep fleet, diff every matrix cell-by-cell against "
+    regress_parser = command(
+        "regress", cmd_regress,
+        "run the sweep fleet, diff every matrix cell-by-cell against "
         "the accepted baseline, and gate on drift (0 clean, 2 drift, "
         "3 unclassified)",
     )
@@ -1216,29 +1197,16 @@ def build_parser():
     regress_parser.add_argument(
         "--campaigns",
         help="comma-separated campaign kinds to sweep "
-        "(default: run,resilience,fuzz,invoke)",
+        f"(default: {','.join(CAMPAIGN_KINDS)})",
     )
-    regress_parser.add_argument("--quick", action="store_true",
-                                help="small corpora")
-    regress_parser.add_argument("--verbose", action="store_true")
-    regress_parser.add_argument(
-        "--seed", type=int, default=20140622,
-        help="shared sweep seed (same seed = byte-identical matrices)",
-    )
-    regress_parser.add_argument(
-        "--sample", type=int, default=2,
-        help="deployed services per server in each sweep",
+    _add_common_arguments(regress_parser, "small corpora")
+    _add_fleet_arguments(
+        regress_parser,
+        "shared sweep seed (same seed = byte-identical matrices)",
+        "deployed services per server in each sweep", "sweep",
     )
     regress_parser.add_argument(
-        "--payloads", type=int, default=1,
-        help="invoke sweep: payloads per (service, class) combination",
-    )
-    regress_parser.add_argument(
-        "--mutants", type=int, default=1,
-        help="fuzz sweep: mutants per (service, kind, intensity)",
-    )
-    regress_parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=positive_int, default=1,
         help="worker processes per sweep; the drift report is "
         "byte-identical for any worker count",
     )
@@ -1280,24 +1248,17 @@ def build_parser():
         "ledger (informational only — never changes the gate's exit code)",
     )
     _add_transport_argument(regress_parser)
-    regress_parser.set_defaults(func=cmd_regress)
 
-    matrix_parser = sub.add_parser(
-        "matrix", help="print the interoperability verdict grid"
-    )
-    matrix_parser.add_argument("--quick", action="store_true")
-    matrix_parser.add_argument("--verbose", action="store_true")
-    matrix_parser.set_defaults(func=cmd_matrix)
+    command("matrix", cmd_matrix, "print the interoperability verdict grid",
+            quick=True)
 
-    analyze_parser = sub.add_parser(
-        "analyze", help="re-analyze a result saved with `run --save`"
-    )
-    analyze_parser.add_argument("result_file")
-    analyze_parser.set_defaults(func=cmd_analyze)
+    command(
+        "analyze", cmd_analyze, "re-analyze a result saved with `run --save`"
+    ).add_argument("result_file")
 
-    profile_parser = sub.add_parser(
-        "profile",
-        help="render stage latencies, slowest services and worker "
+    profile_parser = command(
+        "profile", cmd_profile,
+        "render stage latencies, slowest services and worker "
         "utilization from a trace written with --trace-dir",
     )
     profile_parser.add_argument(
@@ -1307,7 +1268,6 @@ def build_parser():
         "--top", type=int, default=10,
         help="rows in the slowest-services table",
     )
-    profile_parser.set_defaults(func=cmd_profile)
 
     perf_parser = sub.add_parser(
         "perf",
@@ -1333,27 +1293,13 @@ def build_parser():
         "one) instead of running a sweep",
     )
     source.add_argument(
-        "--campaign", choices=("run", "resilience", "fuzz", "invoke"),
+        "--campaign", choices=CAMPAIGN_KINDS,
         help="run this campaign kind under tracing and record its profile",
     )
-    perf_record.add_argument("--quick", action="store_true",
-                             help="small corpora")
-    perf_record.add_argument("--verbose", action="store_true")
-    perf_record.add_argument(
-        "--seed", type=int, default=20140622,
-        help="sweep seed for --campaign (matches the regress default)",
-    )
-    perf_record.add_argument(
-        "--sample", type=int, default=2,
-        help="deployed services per server for --campaign sweeps",
-    )
-    perf_record.add_argument(
-        "--payloads", type=int, default=1,
-        help="invoke sweeps: payloads per (service, class) combination",
-    )
-    perf_record.add_argument(
-        "--mutants", type=int, default=1,
-        help="fuzz sweeps: mutants per (service, kind, intensity)",
+    _add_common_arguments(perf_record, "small corpora")
+    _add_fleet_arguments(
+        perf_record, "sweep seed for --campaign (matches the regress default)",
+        "deployed services per server for --campaign sweeps", "sweeps",
     )
     perf_record.add_argument(
         "--recorded-at", metavar="TIMESTAMP",
@@ -1374,10 +1320,8 @@ def build_parser():
         "prefix (>= 4 hex chars)",
     )
     perf_diff.add_argument("ref_b", help="candidate: same reference forms")
-    perf_diff.add_argument("--ledger-dir", required=True, metavar="DIR")
-    perf_diff.add_argument(
-        "--kind", choices=("run", "resilience", "fuzz", "invoke"),
-        help="restrict reference resolution to one campaign kind",
+    _add_ledger_arguments(
+        perf_diff, "restrict reference resolution to one campaign kind"
     )
     perf_diff.add_argument(
         "--mad-threshold", type=float, default=3.0,
@@ -1400,10 +1344,8 @@ def build_parser():
         help="per-stage median latency across the whole ledger, with "
         "sparkline trends",
     )
-    perf_trend.add_argument("--ledger-dir", required=True, metavar="DIR")
-    perf_trend.add_argument(
-        "--kind", choices=("run", "resilience", "fuzz", "invoke"),
-        help="restrict the series to one campaign kind",
+    _add_ledger_arguments(
+        perf_trend, "restrict the series to one campaign kind"
     )
     perf_trend.add_argument(
         "--stage", metavar="NAME",
@@ -1415,58 +1357,46 @@ def build_parser():
     )
     perf_trend.set_defaults(func=cmd_perf_trend)
 
-    report_parser = sub.add_parser(
-        "report", help="run the campaign, print Fig. 4 / Table III / comparison"
+    report_parser = command(
+        "report", cmd_report,
+        "run the campaign, print Fig. 4 / Table III / comparison", quick=True,
     )
-    report_parser.add_argument("--quick", action="store_true")
-    report_parser.add_argument("--verbose", action="store_true")
     report_parser.add_argument("--json", help="write JSON results here")
     report_parser.add_argument("--html", help="write a standalone HTML report here")
-    report_parser.set_defaults(func=cmd_report)
 
-    experiments_parser = sub.add_parser(
-        "experiments", help="render the EXPERIMENTS.md paper-vs-measured report"
-    )
-    experiments_parser.add_argument("--quick", action="store_true")
-    experiments_parser.add_argument("--verbose", action="store_true")
-    experiments_parser.add_argument("-o", "--output", help="write markdown here")
-    experiments_parser.set_defaults(func=cmd_experiments)
+    command(
+        "experiments", cmd_experiments,
+        "render the EXPERIMENTS.md paper-vs-measured report", quick=True,
+    ).add_argument("-o", "--output", help="write markdown here")
 
-    stats_parser = sub.add_parser(
-        "stats", help="error taxonomy, maturity ranking and WS-I association"
-    )
-    stats_parser.add_argument("--quick", action="store_true")
-    stats_parser.add_argument("--verbose", action="store_true")
-    stats_parser.set_defaults(func=cmd_stats)
+    command("stats", cmd_stats,
+            "error taxonomy, maturity ranking and WS-I association",
+            quick=True)
 
-    lifecycle_campaign_parser = sub.add_parser(
-        "lifecycle-campaign",
-        help="run the five-step lifecycle campaign (paper's future work)",
+    _add_sample_argument(
+        command(
+            "lifecycle-campaign", cmd_sweep,
+            "run the five-step lifecycle campaign (paper's future work)",
+            quick=True,
+        ),
+        None, "max deployed services per server to drive through steps 4-5",
     )
-    lifecycle_campaign_parser.add_argument("--quick", action="store_true")
-    lifecycle_campaign_parser.add_argument("--verbose", action="store_true")
-    lifecycle_campaign_parser.add_argument(
-        "--sample", type=int, default=None,
-        help="max deployed services per server to drive through steps 4-5",
-    )
-    lifecycle_campaign_parser.set_defaults(func=cmd_lifecycle_campaign)
 
     for name, func, help_text in (
         ("wsdl", cmd_wsdl, "print the WSDL published for one service"),
         ("check", cmd_check, "WS-I check the WSDL of one service"),
     ):
-        one = sub.add_parser(name, help=help_text)
+        one = command(name, func, help_text)
         one.add_argument("server", choices=SERVER_IDS)
         one.add_argument("type_name", help="fully-qualified parameter type")
-        one.set_defaults(func=func)
 
-    lifecycle_parser = sub.add_parser(
-        "lifecycle", help="run the full 5-step lifecycle for one combination"
+    lifecycle_parser = command(
+        "lifecycle", cmd_lifecycle,
+        "run the full 5-step lifecycle for one combination",
     )
     lifecycle_parser.add_argument("server", choices=SERVER_IDS)
     lifecycle_parser.add_argument("type_name")
     lifecycle_parser.add_argument("--client", choices=CLIENT_IDS, default="suds")
-    lifecycle_parser.set_defaults(func=cmd_lifecycle)
     return parser
 
 
@@ -1475,6 +1405,9 @@ def main(argv=None):
     try:
         with flush_signals_to_interrupt():
             return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: {exc.hint}", file=sys.stderr)

@@ -5,18 +5,47 @@ the Communication and Execution steps as future work.  This module
 implements that extension: every (server, service, client) combination
 that survives the first three steps is driven through a live echo round
 trip over the in-memory transport, and the outcome of all five steps is
-classified with the same gating semantics.
+classified with the same gating semantics.  It runs on the sweep engine
+(:mod:`repro.core.sharding`) as the ``lifecycle`` kind, one unit per
+server, and :class:`LifecycleCampaign` is the base of the three other
+sampled sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.appservers import container_for
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.outcomes import StepStatus
+from repro.core.sharding import (
+    CAMPAIGN_LIFECYCLE,
+    SERIAL,
+    ShardJob,
+    execute_sharded,
+)
 from repro.frameworks.registry import all_client_frameworks
+from repro.obs.trace import current_tracer
 from repro.runtime import InMemoryHttpTransport, run_full_lifecycle
+
+
+@dataclass
+class LifecycleCampaignConfig:
+    """Parameters of one lifecycle sweep."""
+
+    base: CampaignConfig = field(default_factory=CampaignConfig)
+    #: Deployed services per server driven through all five steps
+    #: (``None`` = all of them).
+    sample_per_server: int = None
+
+    def fingerprint(self):
+        """Stable identity used to guard checkpoint compatibility."""
+        return {
+            "campaign": "lifecycle",
+            "servers": list(self.base.server_ids),
+            "clients": list(self.base.client_ids),
+            "sample": self.sample_per_server,
+        }
 
 
 @dataclass
@@ -96,21 +125,46 @@ class LifecycleCampaignResult:
         return self.totals()["completed"] / tests
 
 
+def merge_lifecycle(lconfig, ordered):
+    """Fold lifecycle unit payloads, in canonical order, into a result."""
+    result = LifecycleCampaignResult(
+        server_ids=tuple(lconfig.base.server_ids),
+        client_ids=tuple(lconfig.base.client_ids),
+    )
+    for unit, data in ordered:
+        result.services_per_server[unit.server_id] = data["services"]
+        for client_id, cell in data["cells"].items():
+            key = (unit.server_id, client_id)
+            result.cells[key] = LifecycleCellStats(**cell)
+    return result
+
+
 class LifecycleCampaign:
     """Runs the five-step lifecycle over (a sample of) the corpus.
 
     ``sample_per_server`` bounds how many deployed services per server go
     through the live round trip (``None`` = all of them); sampling takes
     every k-th deployed service, so the special types — which sit at the
-    front of the catalogs — are always covered.
+    front of the catalogs — are always covered.  ``config`` is a
+    :class:`CampaignConfig`, or a :class:`LifecycleCampaignConfig` that
+    carries the sample itself (the form the engine builds from a job).
     """
 
     def __init__(self, config=None, sample_per_server=None):
+        if isinstance(config, LifecycleCampaignConfig):
+            config, sample_per_server = config.base, config.sample_per_server
+        if sample_per_server is not None and sample_per_server < 1:
+            raise ValueError(
+                f"sample_per_server must be >= 1, got {sample_per_server}"
+            )
         self.config = config or CampaignConfig()
         self.sample_per_server = sample_per_server
         #: Builds (and caches) the catalogs and corpora every server's
         #: deployment draws from.
         self.base_campaign = Campaign(self.config)
+
+    #: Folds unit payloads into a ``LifecycleCampaignResult``.
+    merge = staticmethod(merge_lifecycle)
 
     def _clients(self):
         """The selected client frameworks, in registry order."""
@@ -120,37 +174,54 @@ class LifecycleCampaign:
             if client_id in self.config.client_ids
         }
 
-    def run(self, progress=None):
-        config = self.config
-        clients = self._clients()
-        result = LifecycleCampaignResult(
-            server_ids=tuple(config.server_ids),
-            client_ids=tuple(config.client_ids),
+    def run(self, progress=None, checkpoint=None):
+        """Execute the sweep in-process; see :meth:`Campaign.run`."""
+        return execute_sharded(
+            self.shard_job(), SERIAL, checkpoint=checkpoint,
+            progress=progress, campaign=self,
+        )[0]
+
+    def shard_job(self):
+        """This sweep as a :class:`~repro.core.sharding.ShardJob`: one
+        unit per server."""
+        return ShardJob(
+            CAMPAIGN_LIFECYCLE,
+            LifecycleCampaignConfig(self.config, self.sample_per_server),
         )
 
-        for server_id in config.server_ids:
-            container = container_for(server_id)
-            container.deploy_corpus(self.base_campaign.corpus_for(server_id))
-            deployed = container.deployed
-            selected = self._select(deployed)
-            result.services_per_server[server_id] = len(selected)
-            if progress:
-                progress(
-                    f"[{server_id}] lifecycle over {len(selected)} of "
-                    f"{len(deployed)} deployed services"
-                )
+    def run_shard_unit(self, unit):
+        """Deploy one server and drive its sample through all five steps.
 
+        Returns the unit payload: the sampled service count and the
+        server's per-client cells.
+        """
+        clients = self._clients()
+        cells = {}
+        with current_tracer().span("server", server=unit.server_id):
+            selected = self._deploy_sample(unit.server_id)
             for record in selected:
                 transport = InMemoryHttpTransport()
                 for client_id, client in clients.items():
-                    outcome = run_full_lifecycle(
-                        record, client, client_id=client_id, transport=transport
-                    )
-                    key = (server_id, client_id)
-                    if key not in result.cells:
-                        result.cells[key] = LifecycleCellStats()
-                    result.cells[key].add(outcome)
-        return result
+                    cell = cells.setdefault(client_id, LifecycleCellStats())
+                    cell.add(run_full_lifecycle(
+                        record, client, client_id=client_id,
+                        transport=transport,
+                    ))
+        return {
+            "services": len(selected),
+            "cells": {
+                client_id: asdict(cell) for client_id, cell in cells.items()
+            },
+        }
+
+    def _deploy_sample(self, server_id):
+        """Deploy ``server_id``'s corpus under a ``deploy`` span; the
+        deployed records this sweep drives (:meth:`_select`)."""
+        container = container_for(server_id)
+        with current_tracer().span("deploy") as deploy_span:
+            container.deploy_corpus(self.base_campaign.corpus_for(server_id))
+            deploy_span.annotate(deployed=len(container.deployed))
+        return self._select(container.deployed)
 
     def _select(self, deployed):
         if self.sample_per_server is None or len(deployed) <= self.sample_per_server:

@@ -1,10 +1,10 @@
 """The one sweep engine: shard planning, execution and canonical merging.
 
-The four sweeps — the plain assessment campaign, the resilience sweep,
-the corruption fuzz and the invocation sweep — all run through
-:func:`execute_sharded`, and a run is only useful if it is
-*indistinguishable* from any other run of the same configuration.  This
-module owns that contract:
+The five sweeps — the plain assessment campaign, the resilience sweep,
+the corruption fuzz, the invocation sweep and the five-step lifecycle
+sweep — all run through :func:`execute_sharded`, and a run is only
+useful if it is *indistinguishable* from any other run of the same
+configuration.  This module owns that contract:
 
 * **Planning.**  A sweep is split into an ordered list of
   :class:`ShardUnit` work units, one ``(server, service-chunk)`` pair at
@@ -42,6 +42,7 @@ CAMPAIGN_RUN = "run"
 CAMPAIGN_RESILIENCE = "resilience"
 CAMPAIGN_FUZZ = "fuzz"
 CAMPAIGN_INVOKE = "invoke"
+CAMPAIGN_LIFECYCLE = "lifecycle"
 
 #: The per-kind table: each kind's campaign class, as ``module:Class``
 #: (imported on first use, because the campaign modules import this
@@ -52,6 +53,7 @@ _CAMPAIGN_CLASSES = {
     CAMPAIGN_RESILIENCE: "repro.faults.campaign:ResilienceCampaign",
     CAMPAIGN_FUZZ: "repro.faults.campaign:FuzzCampaign",
     CAMPAIGN_INVOKE: "repro.invoke.campaign:InvocationCampaign",
+    CAMPAIGN_LIFECYCLE: "repro.core.extended:LifecycleCampaign",
 }
 
 #: Default service-chunk count per server for the plain campaign.  Part

@@ -1,8 +1,9 @@
 """Persistence: the durable-file layer and the campaign result store.
 
-Every file the program keeps goes through the primitives here, so each
-one either survives a kill -9 at any instant or fails to load with a
-classified :class:`StoreError` that carries a remediation hint:
+Every file the program keeps or reports goes through the primitives
+here, so each one either survives a kill -9 at any instant or fails to
+load with a classified :class:`StoreError` that carries a remediation
+hint; a write that fails raises one too (:class:`StoreWriteError`):
 
 * :func:`write_text_atomic` / :func:`write_json_atomic` replace a whole
   file (temp file, fsync, ``os.replace``, directory fsync);
@@ -22,6 +23,7 @@ re-executing 79,629 tests.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -137,8 +139,9 @@ class StoreError(Exception):
     CORRUPT = "corrupt"
     TAMPERED = "tampered"
     FINGERPRINT_MISMATCH = "fingerprint-mismatch"
+    UNWRITABLE = "unwritable"
 
-    KINDS = (MISSING, CORRUPT, TAMPERED, FINGERPRINT_MISMATCH)
+    KINDS = (MISSING, CORRUPT, TAMPERED, FINGERPRINT_MISMATCH, UNWRITABLE)
 
     hint = ""
 
@@ -148,6 +151,29 @@ class StoreError(Exception):
         super().__init__(message)
         self.kind = kind
         self.hint = hint or self.hint
+
+
+class StoreWriteError(StoreError, OSError):
+    """A file could not be written: the ``unwritable`` kind.
+
+    It is also the failed call's :class:`OSError`, with its ``errno``,
+    so code that treats a failed write as an ``OSError`` (telemetry
+    degrading to silence) handles it unchanged.
+    """
+
+    def __init__(self, path, exc):
+        directory = os.path.dirname(os.path.abspath(path))
+        name = errno.errorcode.get(exc.errno, "unknown errno")
+        super().__init__(
+            self.UNWRITABLE, f"cannot write {path}: {exc.strerror or exc}",
+            f"check that {directory} exists, is writable and has free "
+            f"space ({name}), then re-run",
+        )
+        self.errno, self.strerror = exc.errno, exc.strerror
+        self.filename = path
+
+    def __str__(self):
+        return self.args[0]
 
 
 class ResultError(StoreError, ValueError):
@@ -170,6 +196,17 @@ class CheckpointMismatch(CheckpointError):
         super().__init__(self.FINGERPRINT_MISMATCH, message)
 
 
+def _umask():
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+#: The mode ``open()`` gives a new file.  Read once: reading the umask
+#: means setting it, and the umask is process-wide.
+FILE_MODE = 0o666 & ~_umask()
+
+
 def write_text_atomic(text, path):
     """Write ``text`` so a crash can never leave a corrupt file.
 
@@ -179,23 +216,30 @@ def write_text_atomic(text, path):
     directory entry is then fsynced too: without it the rename lives
     only in the page cache, and a power loss right after a "durable"
     checkpoint write could roll the directory back to the old file.
+    ``mkstemp`` creates the temp file 0600, so it gets
+    :data:`FILE_MODE` first.  A failed call raises
+    :class:`StoreWriteError` and leaves the old file in place.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    descriptor, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
     try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
+        descriptor, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                os.fchmod(handle.fileno(), FILE_MODE)
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise StoreWriteError(path, exc) from exc
     _fsync_directory(directory)
 
 
@@ -246,19 +290,25 @@ class AppendLog:
         self.path = path
 
     def append(self, *records):
-        """Write one ``canonical_json`` line per record, in one write."""
+        """Write one ``canonical_json`` line per record, in one write.
+
+        A failed call raises :class:`StoreWriteError`.
+        """
         data = "".join(
             canonical_json(record) + "\n" for record in records
         ).encode("utf-8")
-        descriptor = os.open(
-            self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666
-        )
         try:
-            _cut_torn_tail(descriptor)
-            while data:
-                data = data[os.write(descriptor, data):]
-        finally:
-            os.close(descriptor)
+            descriptor = os.open(
+                self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666
+            )
+            try:
+                _cut_torn_tail(descriptor)
+                while data:
+                    data = data[os.write(descriptor, data):]
+            finally:
+                os.close(descriptor)
+        except OSError as exc:
+            raise StoreWriteError(self.path, exc) from exc
 
     def read(self):
         """``(records, skipped)``, or ``([], 0)`` when the file is missing.

@@ -26,17 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from repro.appservers import container_for
 from repro.core.campaign import CampaignConfig
 from repro.core.extended import LifecycleCampaign
 from repro.core.outcomes import StepStatus
-from repro.core.sharding import (
-    CAMPAIGN_FUZZ,
-    CAMPAIGN_RESILIENCE,
-    SERIAL,
-    ShardJob,
-    execute_sharded,
-)
+from repro.core.sharding import CAMPAIGN_FUZZ, CAMPAIGN_RESILIENCE, ShardJob
 from repro.core.store import QuarantineRegistry
 from repro.faults.corpus import DEFAULT_MUTATION_KINDS, MutationKind, WsdlMutator
 from repro.faults.plan import DEFAULT_FAULT_KINDS, FaultKind, FaultPlan, derive_seed
@@ -320,13 +313,6 @@ class ResilienceCampaign(LifecycleCampaign):
     #: Folds unit payloads into a ``ResilienceCampaignResult``.
     merge = staticmethod(merge_resilience)
 
-    def run(self, progress=None, checkpoint=None):
-        """Execute the sweep in-process; see :meth:`Campaign.run`."""
-        return execute_sharded(
-            self.shard_job(), SERIAL, checkpoint=checkpoint,
-            progress=progress, campaign=self,
-        )[0]
-
     def shard_job(self):
         """This sweep as a :class:`~repro.core.sharding.ShardJob`.
 
@@ -349,13 +335,7 @@ class ResilienceCampaign(LifecycleCampaign):
         cells = {}
         # One unit covers the whole server, so the server span is real.
         with tracer.span("server", server=server_id):
-            container = container_for(server_id)
-            with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(
-                    self.base_campaign.corpus_for(server_id)
-                )
-                deploy_span.annotate(deployed=len(container.deployed))
-            selected = self._select(container.deployed)
+            selected = self._deploy_sample(server_id)
             for kind in rconfig.fault_kinds:
                 kind = fault_kind_of(kind)
                 for rate in rconfig.rates:
@@ -706,13 +686,6 @@ class FuzzCampaign(LifecycleCampaign):
     #: Folds unit payloads into a ``FuzzCampaignResult``.
     merge = staticmethod(merge_fuzz)
 
-    def run(self, progress=None, checkpoint=None):
-        """Execute the sweep in-process; see :meth:`Campaign.run`."""
-        return execute_sharded(
-            self.shard_job(), SERIAL, checkpoint=checkpoint,
-            progress=progress, campaign=self,
-        )[0]
-
     def shard_job(self):
         """This sweep as a :class:`~repro.core.sharding.ShardJob`.
 
@@ -728,18 +701,11 @@ class FuzzCampaign(LifecycleCampaign):
         server's cells, its quarantine entries and whether it finished
         (``False`` when ``fail_fast`` aborted it).
         """
-        fconfig = self.fconfig
         tracer = current_tracer()
         cells = {}
         quarantine = QuarantineRegistry()
         with tracer.span("server", server=unit.server_id) as server_span:
-            container = container_for(unit.server_id)
-            with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(
-                    self.base_campaign.corpus_for(unit.server_id)
-                )
-                deploy_span.annotate(deployed=len(container.deployed))
-            selected = self._select(container.deployed)
+            selected = self._deploy_sample(unit.server_id)
             finished = self._fuzz_server(
                 unit.server_id, selected, cells, quarantine
             )

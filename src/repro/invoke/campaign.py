@@ -19,15 +19,9 @@ from fnmatch import fnmatch
 
 from dataclasses import dataclass, field, fields
 
-from repro.appservers import container_for
 from repro.core.campaign import CampaignConfig
 from repro.core.extended import LifecycleCampaign
-from repro.core.sharding import (
-    CAMPAIGN_INVOKE,
-    SERIAL,
-    ShardJob,
-    execute_sharded,
-)
+from repro.core.sharding import CAMPAIGN_INVOKE, ShardJob
 from repro.core.store import QuarantineRegistry
 from repro.invoke.fidelity import (
     Fidelity,
@@ -324,10 +318,7 @@ class InvocationCampaign(LifecycleCampaign):
 
     def run(self, progress=None, checkpoint=None):
         """Execute the sweep in-process; see :meth:`Campaign.run`."""
-        result = execute_sharded(
-            self.shard_job(), SERIAL, checkpoint=checkpoint,
-            progress=progress, campaign=self,
-        )[0]
+        result = super().run(progress=progress, checkpoint=checkpoint)
         if progress and not result.services_matched \
                 and self.iconfig.service_filter:
             progress(
@@ -336,9 +327,9 @@ class InvocationCampaign(LifecycleCampaign):
             )
         return result
 
-    def _selected_records(self, container):
-        """The sampled (and optionally filtered) deployment records."""
-        selected = self._select(container.deployed)
+    def _select(self, deployed):
+        """The sampled records, narrowed by ``service_filter``."""
+        selected = super()._select(deployed)
         pattern = self.iconfig.service_filter
         if pattern:
             selected = [
@@ -445,13 +436,7 @@ class InvocationCampaign(LifecycleCampaign):
         gates = {}
         quarantine = QuarantineRegistry()
         with tracer.span("server", server=server_id):
-            container = container_for(server_id)
-            with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(
-                    self.base_campaign.corpus_for(server_id)
-                )
-                deploy_span.annotate(deployed=len(container.deployed))
-            selected = self._selected_records(container)
+            selected = self._deploy_sample(server_id)
             for record in selected:
                 service_name = record.service.name
                 payloads = generator.generate(record.wsdl, service_name)

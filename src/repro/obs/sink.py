@@ -21,7 +21,12 @@ import os
 import time
 
 from repro.core.canon import canonical_json
-from repro.core.store import decode_jsonl, validate_jsonl, write_text_atomic
+from repro.core.store import (
+    StoreError,
+    decode_jsonl,
+    validate_jsonl,
+    write_text_atomic,
+)
 from repro.obs.trace import TRACE_FORMAT
 
 TRACE_FILENAME = "trace.jsonl"
@@ -64,8 +69,17 @@ TRACE_SCHEMA = {
 }
 
 
-class TraceValidationError(ValueError):
-    """A trace line does not conform to :data:`TRACE_SCHEMA`."""
+class TraceValidationError(StoreError, ValueError):
+    """A trace cannot be loaded: missing, unreadable, or a line that
+    does not conform to :data:`TRACE_SCHEMA`."""
+
+    hint = (
+        "run a sweep with --trace-dir first, then point `profile` or "
+        "`perf record --trace` at that directory or its trace.jsonl"
+    )
+
+    def __init__(self, message, kind=StoreError.CORRUPT):
+        super().__init__(kind, message)
 
 
 def _decode(lines):
@@ -128,12 +142,26 @@ def load_trace(path, validate=True):
     :data:`TRACE_SCHEMA` as it is decoded, so downstream renderers can
     assume shape.  ``skipped_lines`` counts the lines that were not
     JSON (with ``validate``, at most a torn trailing one), so the
-    profile can surface that the trace was truncated.
+    profile can surface that the trace was truncated.  A missing,
+    unreadable or (with ``validate``) off-schema trace raises
+    :class:`TraceValidationError`.
     """
     path = resolve_trace_path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    objects, skipped = _decode(lines) if validate else decode_jsonl(lines)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except FileNotFoundError as exc:
+        raise TraceValidationError(
+            f"no trace found at {path!r}", StoreError.MISSING
+        ) from exc
+    except (OSError, ValueError) as exc:
+        raise TraceValidationError(
+            f"cannot read trace {path!r}: {exc}"
+        ) from exc
+    try:
+        objects, skipped = _decode(lines) if validate else decode_jsonl(lines)
+    except TraceValidationError as exc:
+        raise TraceValidationError(f"invalid trace {path}: {exc}") from exc
     trace = {
         "meta": None, "spans": [], "workers": [], "metrics_events": [],
         "skipped_lines": skipped,

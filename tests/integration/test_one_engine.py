@@ -4,8 +4,10 @@ Serial, pooled and resumed sweeps run the same code, so they agree by
 construction: a checkpoint written under one worker count resumes under
 any other, a serial sweep streams the same progress heartbeats, and a
 ``--fail-fast`` abort is reproduced by a re-run on its own checkpoint.
+The five-step ``lifecycle`` sweep is one of the engine's kinds too.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -18,6 +20,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import Campaign, CampaignConfig, sharding
+from repro.core.extended import LifecycleCampaign
 from repro.core.store import CampaignCheckpoint, result_to_obj
 from repro.faults import (
     FuzzCampaign,
@@ -64,10 +67,25 @@ def _fuzz_campaign():
     ))
 
 
+def _lifecycle_campaign():
+    return LifecycleCampaign(_base(), sample_per_server=2)
+
+
+def _lifecycle_bytes(result):
+    return json.dumps({
+        "services": result.services_per_server,
+        "cells": [
+            [server, client, dataclasses.asdict(cell)]
+            for (server, client), cell in result.cells.items()
+        ],
+    })
+
+
 #: kind -> (campaign factory, result bytes)
 KINDS = {
     "run": (_run_campaign, lambda result: json.dumps(result_to_obj(result))),
     "fuzz": (_fuzz_campaign, fuzz_to_json),
+    "lifecycle": (_lifecycle_campaign, _lifecycle_bytes),
 }
 
 
@@ -171,6 +189,16 @@ class TestPooledMatchesSerial:
             ResilienceCampaign(config).shard_job(), PoolConfig(workers=2)
         )
         assert resilience_to_json(pooled) == resilience_to_json(serial)
+
+    def test_lifecycle_sweep(self):
+        job = _lifecycle_campaign().shard_job()
+        assert [unit.key for unit in job.units()] == [
+            "lifecycle-jbossws-000of001", "lifecycle-wcf-000of001",
+        ]
+        serial = _lifecycle_campaign().run()
+        pooled, _ = execute_sharded(job, PoolConfig(workers=2))
+        assert serial.tests_executed > 0
+        assert _lifecycle_bytes(pooled) == _lifecycle_bytes(serial)
 
 
 class TestFailFastResume:

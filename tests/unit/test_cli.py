@@ -1,10 +1,18 @@
 """Unit tests for the wsinterop CLI."""
 
+import errno
+import gc
 import json
+import os
+import weakref
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core import Campaign, CampaignConfig
+from repro.core.extended import LifecycleCampaign
+from repro.faults import ResilienceCampaign, ResilienceCampaignConfig
 
 
 class TestParser:
@@ -196,3 +204,128 @@ class TestClassifiedStoreErrors:
         err = capsys.readouterr().err
         assert "error: no saved result at" in err
         assert "hint: re-run `wsinterop run --save" in err
+
+
+class TestClassifiedWriteAndTraceErrors:
+    INVOKE = ["invoke", "--quick", "--sample", "1", "--seed", "7"]
+
+    def test_report_write_under_enospc(self, tmp_path, capsys, monkeypatch):
+        report = tmp_path / "invoke.json"
+        report.write_text("earlier report\n")
+
+        def enospc(descriptor):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", enospc)
+        assert main(self.INVOKE + ["--json", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {report}: " in err
+        assert f"hint: check that {tmp_path} exists" in err
+        assert "ENOSPC" in err
+        assert "Traceback" not in err
+        assert report.read_text() == "earlier report\n"
+        assert os.listdir(tmp_path) == ["invoke.json"]
+
+    def test_report_into_a_missing_directory(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "invoke.json"
+        assert main(self.INVOKE + ["--json", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {report}" in err
+        assert "hint:" in err and "ENOENT" in err
+
+    def test_perf_record_missing_trace(self, tmp_path, capsys):
+        rc = main(["perf", "record", "--ledger-dir", str(tmp_path / "pl"),
+                   "--trace", str(tmp_path / "nope")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: no trace found" in err
+        assert "hint:" in err and "--trace-dir" in err
+
+
+#: Commands whose --workers, --shards or --sample take a count.
+COUNT_FLAGS = [
+    (command, flag)
+    for command, flags in (
+        (["run"], ("--workers", "--shards")),
+        (["resilience"], ("--workers", "--sample")),
+        (["fuzz"], ("--workers", "--sample")),
+        (["invoke"], ("--workers", "--sample")),
+        (["lifecycle-campaign"], ("--sample",)),
+        (["regress", "--baseline-dir", "b"], ("--workers", "--sample")),
+        (["perf", "record", "--ledger-dir", "l", "--campaign", "run"],
+         ("--workers", "--sample")),
+    )
+    for flag in flags
+]
+
+
+class TestNonPositiveCounts:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command,flag", COUNT_FLAGS,
+        ids=[f"{command[0]}{flag}" for command, flag in COUNT_FLAGS],
+    )
+    def test_rejected_by_argparse(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(command + [flag, value])
+        assert caught.value.code == 2
+        assert f"argument {flag}: must be >= 1, got {value}" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_sampled_campaigns_reject_an_empty_sample(self, sample):
+        with pytest.raises(ValueError, match="sample_per_server"):
+            LifecycleCampaign(CampaignConfig(), sample_per_server=sample)
+        with pytest.raises(ValueError, match="sample_per_server"):
+            ResilienceCampaign(
+                ResilienceCampaignConfig(sample_per_server=sample)
+            )
+
+
+#: One fast invocation of each sweep command.
+SWEEP_ARGV = {
+    "run": ["run", "--quick"],
+    "resilience": ["resilience", "--quick", "--sample", "1", "--kinds",
+                   "http-503", "--rates", "0.4"],
+    "fuzz": ["fuzz", "--quick", "--sample", "1", "--kinds", "truncation",
+             "--intensities", "0.5"],
+    "invoke": ["invoke", "--quick", "--sample", "1", "--payloads", "1"],
+    "lifecycle-campaign": ["lifecycle-campaign", "--quick", "--sample", "1"],
+}
+
+
+class TestOneSweepCommand:
+    def test_every_sweep_command_is_a_row(self):
+        assert sorted(cli.SWEEPS) == sorted(SWEEP_ARGV)
+        for command in SWEEP_ARGV:
+            args = build_parser().parse_args(SWEEP_ARGV[command])
+            assert args.func is cli.cmd_sweep
+
+    @pytest.mark.parametrize("command", sorted(SWEEP_ARGV))
+    def test_campaign_freed_before_the_report(self, command, monkeypatch,
+                                              capsys):
+        """No campaign is reachable while the report runs: a campaign
+        holds catalogs and a deployment, and serializing a result
+        beside them raises peak memory.  (Guard verdicts keep their
+        exception's traceback, so a sampled sweep's campaign can sit in
+        cyclic garbage; collecting it first leaves only what is still
+        reachable.)"""
+        built = []
+        for cls in (Campaign, LifecycleCampaign):
+            def tracking(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", tracking)
+        row = cli.SWEEPS[command]
+        alive = []
+
+        def report(result, args):
+            gc.collect()
+            alive.extend(ref() for ref in built if ref() is not None)
+            return row.report(result, args)
+
+        monkeypatch.setitem(cli.SWEEPS, command, row._replace(report=report))
+        assert main(SWEEP_ARGV[command]) == 0
+        assert built and alive == []

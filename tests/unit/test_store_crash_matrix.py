@@ -17,19 +17,23 @@ Faults are injected by replacing ``os`` and ``tempfile`` as
 import errno
 import json
 import os
+import stat
 import tempfile
 
 import pytest
 
 import repro.core.store as store_module
+from repro.cli import _write_report
 from repro.core.results import CampaignResult
 from repro.core.store import (
     AppendLog,
     CampaignCheckpoint,
     StoreError,
+    StoreWriteError,
     load_result,
     result_to_obj,
     save_result,
+    write_text_atomic,
 )
 from repro.obs import PerfLedger, TraceSink, load_trace
 from repro.regress.baseline import BaselineError, BaselineStore
@@ -204,6 +208,15 @@ def _recorder_state(d):
         return (len(json.load(handle)["exchanges"]),)
 
 
+def _report_path(d):
+    return os.path.join(d, "report.json")
+
+
+def _report_state(d):
+    with open(_report_path(d), encoding="utf-8") as handle:
+        return (handle.read(),)
+
+
 STORES = {
     "checkpoint-save": (
         ATOMIC,
@@ -263,6 +276,12 @@ STORES = {
         lambda d: _recording(1).save(os.path.join(d, "capture.json")),
         lambda d: _recording(2).save(os.path.join(d, "capture.json")),
         _recorder_state,
+    ),
+    "report-write": (
+        ATOMIC,
+        lambda d: _write_report(_report_path(d), lambda: '{"v": 1}\n'),
+        lambda d: _write_report(_report_path(d), lambda: '{"v": 2}\n'),
+        _report_state,
     ),
 }
 
@@ -358,3 +377,41 @@ class TestAppendLog:
         path = tmp_path / "log.jsonl"
         path.write_bytes(b'{"a":1}\n{"torn\n\xff\n\n{"b":2}\n')
         assert AppendLog(str(path)).read() == ([{"a": 1}, {"b": 2}], 2)
+
+
+class TestClassifiedWriteFailure:
+    """A failed write is a ``StoreError`` of kind ``unwritable`` that is
+    also the failed call's ``OSError``."""
+
+    def _check(self, exc, path):
+        assert isinstance(exc, StoreError) and isinstance(exc, OSError)
+        assert exc.kind == StoreError.UNWRITABLE
+        assert exc.errno == errno.ENOENT
+        assert str(exc) == f"cannot write {path}: {os.strerror(errno.ENOENT)}"
+        assert os.path.dirname(os.path.abspath(path)) in exc.hint
+        assert "ENOENT" in exc.hint
+
+    def test_atomic_write_into_a_missing_directory(self, tmp_path):
+        path = str(tmp_path / "missing" / "report.json")
+        with pytest.raises(StoreWriteError) as caught:
+            write_text_atomic("{}", path)
+        self._check(caught.value, path)
+
+    def test_append_into_a_missing_directory(self, tmp_path):
+        path = str(tmp_path / "missing" / "log.jsonl")
+        with pytest.raises(StoreWriteError) as caught:
+            AppendLog(path).append({"n": 1})
+        self._check(caught.value, path)
+
+
+class TestFileMode:
+    def test_written_files_get_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "reference", "w", encoding="utf-8"):
+            pass
+        expected = stat.S_IMODE(os.stat(tmp_path / "reference").st_mode)
+        _write_report(str(tmp_path / "report.json"), lambda: "{}")
+        save_result(_result("metro"), str(tmp_path / "result.json"))
+        AppendLog(str(tmp_path / "log.jsonl")).append({"n": 1})
+        for name in ("report.json", "result.json", "log.jsonl"):
+            mode = stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+            assert mode == expected, (name, oct(mode), oct(expected))
