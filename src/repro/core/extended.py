@@ -27,6 +27,7 @@ from repro.core.sharding import (
 from repro.frameworks.registry import all_client_frameworks
 from repro.obs.trace import current_tracer
 from repro.runtime import InMemoryHttpTransport, run_full_lifecycle
+from repro.runtime.lifecycle import SharedReads
 
 
 @dataclass
@@ -197,6 +198,7 @@ class LifecycleCampaign:
         """
         clients = self._clients()
         cells = {}
+        reads = SharedReads()
         with current_tracer().span("server", server=unit.server_id):
             selected = self._deploy_sample(unit.server_id)
             for record in selected:
@@ -205,7 +207,7 @@ class LifecycleCampaign:
                     cell = cells.setdefault(client_id, LifecycleCellStats())
                     cell.add(run_full_lifecycle(
                         record, client, client_id=client_id,
-                        transport=transport,
+                        transport=transport, reads=reads,
                     ))
         return {
             "services": len(selected),

@@ -43,15 +43,9 @@ from repro.runtime import (
     close_transport,
     run_full_lifecycle,
 )
-from repro.runtime.wire import transport_factory_for
-from repro.runtime.guard import (
-    GuardedStep,
-    GuardLimits,
-    GuardVerdict,
-    TriageBucket,
-)
-from repro.wsdl.reader import read_wsdl
-from repro.xmlcore import parse as parse_xml
+from repro.runtime.lifecycle import SharedReads, guarded_read
+from repro.runtime.wire import transport_factory_for, unit_transports
+from repro.runtime.guard import GuardedStep, GuardLimits, TriageBucket
 
 _RESULT_FORMAT = 1
 
@@ -296,8 +290,10 @@ class ResilienceCampaign(LifecycleCampaign):
     :class:`FaultPlan` so the schedule is independent of execution order.
     """
 
-    #: Builds each cell's base transport; the regress drill-down swaps
-    #: in a recorder-wrapping factory to capture the cell's exchanges.
+    #: Builds each cell's base transport (through
+    #: :func:`unit_transports`, so a wire unit's cells share one listener
+    #: and one connection); the regress drill-down swaps in a
+    #: recorder-wrapping factory to capture the cell's exchanges.
     transport_factory = InMemoryHttpTransport
 
     def __init__(self, config=None):
@@ -333,8 +329,10 @@ class ResilienceCampaign(LifecycleCampaign):
         clients = self._clients()
         tracer = current_tracer()
         cells = {}
+        reads = SharedReads()
         # One unit covers the whole server, so the server span is real.
-        with tracer.span("server", server=server_id):
+        with tracer.span("server", server=server_id), \
+                unit_transports(self.transport_factory) as new_transport:
             selected = self._deploy_sample(server_id)
             for kind in rconfig.fault_kinds:
                 kind = fault_kind_of(kind)
@@ -350,7 +348,7 @@ class ResilienceCampaign(LifecycleCampaign):
                         ) as cell_span:
                             self._run_cell(
                                 cell, server_id, client_id, client,
-                                kind, rate, selected,
+                                kind, rate, selected, new_transport, reads,
                             )
                             cell_span.annotate(
                                 tests=cell.tests, completed=cell.completed,
@@ -364,7 +362,7 @@ class ResilienceCampaign(LifecycleCampaign):
         }
 
     def _run_cell(self, cell, server_id, client_id, client, kind, rate,
-                  selected):
+                  selected, new_transport, reads):
         rconfig = self.rconfig
         resilient = ResilientTransport(
             inner=None,
@@ -380,7 +378,7 @@ class ResilienceCampaign(LifecycleCampaign):
             )
             if isinstance(kind, WireFaultKind):
                 faulting = WireFaultingTransport(
-                    self.transport_factory(),
+                    new_transport(),
                     WireFaultPlan.single(
                         seed, kind, rate,
                         base_latency_ms=rconfig.base_latency_ms,
@@ -388,7 +386,7 @@ class ResilienceCampaign(LifecycleCampaign):
                 )
             else:
                 faulting = FaultingTransport(
-                    self.transport_factory(),
+                    new_transport(),
                     FaultPlan.single(
                         seed, kind, rate,
                         slow_latency_ms=rconfig.slow_latency_ms,
@@ -398,11 +396,12 @@ class ResilienceCampaign(LifecycleCampaign):
             resilient.inner = faulting
             try:
                 outcome = run_full_lifecycle(
-                    record, client, client_id=client_id, transport=resilient
+                    record, client, client_id=client_id, transport=resilient,
+                    reads=reads,
                 )
             finally:
-                # Reclaims the wire listener socket and its accept
-                # thread per record; a no-op for the in-memory stack.
+                # Removes the record's endpoint from the unit's wire
+                # listener; a no-op for the in-memory stack.
                 close_transport(faulting)
             cell.add(outcome)
             cell.faults_injected += faulting.total_faults_injected
@@ -658,11 +657,6 @@ def merge_fuzz(fconfig, ordered):
     return result
 
 
-def _read_mutant(text, xml_limits):
-    """The wsdl2code front door: parse the (corrupted) description."""
-    return read_wsdl(parse_xml(text, limits=xml_limits))
-
-
 class FuzzCampaign(LifecycleCampaign):
     """Sweeps corruption operators over every server/client pair.
 
@@ -788,16 +782,7 @@ class FuzzCampaign(LifecycleCampaign):
         Reading takes no client, so every client of a mutant shares one
         verdict: a read that times out is a TIMEOUT for all of them.
         """
-        read_step = GuardedStep("wsdl-read", _read_mutant, limits=limits)
-        try:
-            read_step.check_input(mutant.text)
-        except Exception as exc:
-            return GuardVerdict(
-                step=read_step.name,
-                bucket=TriageBucket.RESOURCE_BLOWUP,
-                detail=str(exc),
-            )
-        return read_step.run(mutant.text, limits.xml)
+        return guarded_read(mutant.text, limits)
 
     def _drive(self, read, client, limits):
         """Guarded generate → compile pipeline over one mutant's ``read``.

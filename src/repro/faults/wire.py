@@ -302,7 +302,9 @@ class WireFaultingTransport:
 
         self.faults_injected[kind] += 1
         host, port, thread = oneshot_fault_listener(kind)
-        client = getattr(self.inner, "_client", None) or WireClient()
+        # A client of its own: the fault connection is never kept, and
+        # the inner transport's kept connection stays untouched.
+        client = WireClient()
         timeout = (
             SLOWLORIS_DEADLINE if kind is WireFaultKind.SLOWLORIS else None
         )
@@ -311,6 +313,7 @@ class WireFaultingTransport:
                 host, port, url, body, headers, timeout=timeout
             )
         finally:
+            client.close()
             thread.join(timeout=_LISTENER_TIMEOUT)
         # Unreachable for every current pathology (all of them raise a
         # classified TransportError), kept total for future kinds that

@@ -39,8 +39,8 @@ from repro.invoke.response import ResponseTap, validate_response
 from repro.obs.trace import current_tracer
 from repro.runtime import InMemoryHttpTransport, close_transport
 from repro.runtime.guard import GuardLimits, GuardedStep
-from repro.runtime.lifecycle import prepare_client_proxy
-from repro.runtime.wire import transport_factory_for
+from repro.runtime.lifecycle import SharedReads, prepare_client_proxy
+from repro.runtime.wire import transport_factory_for, unit_transports
 
 _INVOKE_FORMAT = 1
 
@@ -284,15 +284,18 @@ class InvocationCampaign(LifecycleCampaign):
 
     Per server the corpus is deployed once and a deterministic sample
     selected (optionally narrowed by ``service_filter``); per service
-    the payload family is generated once — independent of client and
-    execution order — and every client that passes the steps-2–3 gate
-    drives the whole family through its live proxy under the invoke
-    guard.  Fatal invocations poison the (server, service,
-    client:class) quarantine entry so resumed sweeps skip them.
+    the WSDL is read once and the payload family generated once —
+    independent of client and execution order — and every client that
+    passes the steps-2–3 gate drives the whole family through its live
+    proxy under the invoke guard.  Fatal invocations poison the
+    (server, service, client:class) quarantine entry so resumed sweeps
+    skip them.
     """
 
-    #: Builds each cell's transport; the regress drill-down swaps in a
-    #: recorder-wrapping factory to capture the cell's exchanges.
+    #: Builds each cell's transport (through :func:`unit_transports`, so
+    #: a wire unit's cells share one listener and one connection); the
+    #: regress drill-down swaps in a recorder-wrapping factory to
+    #: capture the cell's exchanges.
     transport_factory = InMemoryHttpTransport
 
     def __init__(self, config=None):
@@ -340,27 +343,27 @@ class InvocationCampaign(LifecycleCampaign):
 
     def _invoke_cell(self, server_id, service_name, record, client_id,
                      client, payloads, shape, limits, cells, gate_stats,
-                     quarantine):
+                     quarantine, new_transport, reads):
         """Drive the whole payload family through one (service, client)."""
         tracer = current_tracer()
         with tracer.span("cell", service=service_name, client=client_id) as span:
-            transport = ResponseTap(self.transport_factory())
+            transport = ResponseTap(new_transport())
             try:
                 self._invoke_payloads(
                     transport, server_id, service_name, record, client_id,
                     client, payloads, shape, limits, cells, gate_stats,
-                    quarantine, span,
+                    quarantine, span, reads,
                 )
             finally:
                 close_transport(transport)
 
     def _invoke_payloads(self, transport, server_id, service_name, record,
                          client_id, client, payloads, shape, limits, cells,
-                         gate_stats, quarantine, span):
+                         gate_stats, quarantine, span, reads):
         tracer = current_tracer()
         gate = prepare_client_proxy(
             record, client, client_id=client_id,
-            transport=transport, limits=limits,
+            transport=transport, limits=limits, reads=reads,
         )
         if not gate.ok:
             gate_stats["gate_failed"] += 1
@@ -435,7 +438,9 @@ class InvocationCampaign(LifecycleCampaign):
         cells = {}
         gates = {}
         quarantine = QuarantineRegistry()
-        with tracer.span("server", server=server_id):
+        reads = SharedReads(limits)
+        with tracer.span("server", server=server_id), \
+                unit_transports(self.transport_factory) as new_transport:
             selected = self._deploy_sample(server_id)
             for record in selected:
                 service_name = record.service.name
@@ -454,7 +459,7 @@ class InvocationCampaign(LifecycleCampaign):
                         self._invoke_cell(
                             server_id, service_name, record, client_id,
                             client, payloads, shape, limits, cells,
-                            gate_stats, quarantine,
+                            gate_stats, quarantine, new_transport, reads,
                         )
         return {
             "services": len(selected),

@@ -85,6 +85,30 @@ def _histograms_named(trace, metric):
         found.append((labels, Histogram.from_obj(event)))
     return found
 
+
+#: The wire rows: each post's total, then the parts of its exchange
+#: (``connect`` only on exchanges that opened a connection).
+WIRE_METRICS = (
+    ("total", "wire_ms"),
+    ("connect", "wire_connect_ms"),
+    ("write", "wire_write_ms"),
+    ("first_byte", "wire_first_byte_ms"),
+    ("read", "wire_read_ms"),
+)
+
+
+def wire_histograms(trace):
+    """``{row: Histogram}`` of the :data:`WIRE_METRICS` a trace holds."""
+    rows = {}
+    for row, metric in WIRE_METRICS:
+        for _, histogram in _histograms_named(trace, metric):
+            if row in rows:
+                rows[row].merge(histogram)
+            else:
+                rows[row] = histogram
+    return rows
+
+
 def _root_ms(trace):
     for span in trace["spans"]:
         if span["parent"] == "":
@@ -176,12 +200,8 @@ def perf_profile(trace):
     durations = {}
     for span in trace["spans"]:
         durations.setdefault(span["name"], []).append(float(span["ms"]))
-    wire = None
-    for labels, histogram in _histograms_named(trace, "wire_ms"):
-        if wire is None:
-            wire = histogram
-        else:
-            wire.merge(histogram)
+    wire_rows = wire_histograms(trace)
+    wire = wire_rows.pop("total", None)
     profile = {
         "format": PERF_FORMAT,
         "kind": meta.get("campaign", ""),
@@ -208,6 +228,10 @@ def perf_profile(trace):
             round(100.0 * wire.total / root_ms, 2)
             if wire is not None and root_ms > 0 else None
         ),
+        "wire_parts": {
+            part: _summarize(histogram)
+            for part, histogram in wire_rows.items()
+        } or None,
     }
     return profile
 

@@ -71,6 +71,23 @@ def stage_latency_rows(trace):
     return rows
 
 
+def wire_rows(trace):
+    """(part, count, p50, p95, mean, total-ms) rows of the wire split."""
+    from repro.obs.perf import wire_histograms
+
+    return [
+        (
+            part,
+            histogram.count,
+            f"{histogram.quantile(0.50):.3f}",
+            f"{histogram.quantile(0.95):.3f}",
+            f"{histogram.mean:.3f}",
+            f"{histogram.total:.1f}",
+        )
+        for part, histogram in wire_histograms(trace).items()
+    ]
+
+
 def _server_of(span, by_id):
     """Walk parent edges up to the enclosing server rollup span."""
     seen = set()
@@ -197,6 +214,15 @@ def render_profile(trace, top=10):
                 ("Span", "Self ms", "Total ms", "% of root", "Span id"),
                 path_rows,
                 title="Critical path (most expensive chain from the root)",
+            )
+        )
+    wire = wire_rows(trace)
+    if wire:
+        out.append(
+            render_table(
+                ("Part", "Count", "p50 ms", "p95 ms", "Mean ms", "Total ms"),
+                wire,
+                title="Wire exchanges (total per post, then its parts)",
             )
         )
     from repro.obs.critical import slowest_service_spans

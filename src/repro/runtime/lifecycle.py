@@ -7,7 +7,13 @@ from dataclasses import dataclass
 from repro.core.outcomes import StepStatus
 from repro.obs.trace import current_tracer
 from repro.runtime.client import ClientInvocationError, GeneratedClientProxy
-from repro.runtime.guard import INLINE_LIMITS, GuardedStep, TriageBucket
+from repro.runtime.guard import (
+    INLINE_LIMITS,
+    GuardedStep,
+    GuardVerdict,
+    InputBudgetExceeded,
+    TriageBucket,
+)
 from repro.runtime.server import EchoServiceEndpoint
 from repro.runtime.transport import InMemoryHttpTransport, TransportError
 from repro.wsdl.reader import read_wsdl
@@ -40,6 +46,50 @@ def _triage_detail(verdict):
 def _read_description(text, xml_limits):
     """What every wsdl2code tool does first: parse the downloaded WSDL."""
     return read_wsdl(parse_xml(text, limits=xml_limits))
+
+
+def guarded_read(text, limits=None):
+    """The guarded ``wsdl-read`` of one WSDL text, as a :class:`GuardVerdict`.
+
+    A text over the input budget is a RESOURCE_BLOWUP verdict without a
+    parse.  Reading takes no client, so a sweep reads each description
+    once and hands the verdict to every client: a read that fails or
+    times out fails each of them the same way.
+    """
+    limits = limits or INLINE_LIMITS
+    read_step = GuardedStep("wsdl-read", _read_description, limits=limits)
+    try:
+        read_step.check_input(text)
+    except InputBudgetExceeded as exc:
+        return GuardVerdict(
+            step=read_step.name,
+            bucket=TriageBucket.RESOURCE_BLOWUP,
+            detail=str(exc),
+        )
+    return read_step.run(text, limits.xml)
+
+
+class SharedReads:
+    """One sweep unit's reads: each record's verdict, taken once.
+
+    Calling it with a record returns :func:`guarded_read` of the
+    record's WSDL under this object's ``limits``.  The first cell that
+    asks reads it, inside its own span, and every later cell gets the
+    same verdict.
+    """
+
+    def __init__(self, limits=None):
+        self.limits = limits
+        #: id(record) -> (record, verdict); the record pins its id.
+        self._verdicts = {}
+
+    def __call__(self, record):
+        entry = self._verdicts.get(id(record))
+        if entry is None:
+            entry = self._verdicts[id(record)] = (
+                record, guarded_read(record.wsdl_text, self.limits),
+            )
+        return entry[1]
 
 
 def _failed(service_name, client_id, step, generation=StepStatus.ERROR,
@@ -88,13 +138,18 @@ class ClientGate:
 
 
 def prepare_client_proxy(deployment_record, client, client_id="",
-                         transport=None, limits=None):
+                         transport=None, limits=None, reads=None):
     """Run steps 2–3 and build the client proxy, all under guards.
 
     This is the shared gate in front of every data-plane exchange: the
     full lifecycle uses it before its single echo invocation, and the
     step-4 invocation campaign uses it once per (service, client) cell
-    before driving many payloads through the returned proxy.
+    before driving many payloads through the returned proxy.  The gate
+    takes the record's ``wsdl-read`` verdict from ``reads``, the sweep
+    unit's :class:`SharedReads`, so a record is read once for all of its
+    clients; without ``reads`` the gate reads the record under
+    ``limits``.  No client's steps change the read document, so every
+    client can share it.
     """
     limits = limits or INLINE_LIMITS
     transport = transport or InMemoryHttpTransport()
@@ -103,25 +158,16 @@ def prepare_client_proxy(deployment_record, client, client_id="",
     def gate_failed(outcome):
         return ClientGate(outcome.service_name, client_id, failure=outcome)
 
-    read_step = GuardedStep("wsdl-read", _read_description, limits=limits)
-    try:
-        read_step.check_input(deployment_record.wsdl_text)
-    except Exception as exc:
-        return gate_failed(_failed(
-            service_name, client_id, "generation",
-            detail=f"[resource-blowup] {exc}",
-            triage=TriageBucket.RESOURCE_BLOWUP.value,
-        ))
-    parsed = read_step.run(deployment_record.wsdl_text, limits.xml)
-    if not parsed.ok:
+    read = (reads or SharedReads(limits))(deployment_record)
+    if not read.ok:
         # Reading the description is the first thing every wsdl2code
-        # tool does, so a parse failure is a generation-step error.
+        # tool does, so a read failure is a generation-step error.
         return gate_failed(_failed(
             service_name, client_id, "generation",
-            detail=_triage_detail(parsed),
-            triage=parsed.bucket.value,
+            detail=_triage_detail(read),
+            triage=read.bucket.value,
         ))
-    document = parsed.value
+    document = read.value
     service_name = document.name or service_name
 
     generated = GuardedStep("generate", client.generate, limits=limits).run(
@@ -207,7 +253,7 @@ def prepare_client_proxy(deployment_record, client, client_id="",
 
 
 def run_full_lifecycle(deployment_record, client, client_id="", transport=None,
-                       values=None, limits=None):
+                       values=None, limits=None, reads=None):
     """Run steps 2–5 for one deployed service and one client framework.
 
     Step 1 (Service Description Generation) already happened when the
@@ -218,7 +264,9 @@ def run_full_lifecycle(deployment_record, client, client_id="", transport=None,
     corrupted description can never propagate an unclassified exception:
     it lands in an ERROR outcome whose ``triage`` names the bucket.
     ``limits`` defaults to :data:`INLINE_LIMITS` (no watchdog thread);
-    fuzz campaigns pass budgets with a wall-clock deadline.
+    fuzz campaigns pass budgets with a wall-clock deadline.  ``reads``
+    is the sweep unit's :class:`SharedReads`, as
+    :func:`prepare_client_proxy` takes it.
     """
     with current_tracer().span(
         "lifecycle",
@@ -227,7 +275,7 @@ def run_full_lifecycle(deployment_record, client, client_id="", transport=None,
     ) as span:
         outcome = _run_full_lifecycle(
             deployment_record, client, client_id=client_id,
-            transport=transport, values=values, limits=limits,
+            transport=transport, values=values, limits=limits, reads=reads,
         )
         span.annotate(execution=outcome.execution.value)
         if outcome.triage:
@@ -236,13 +284,13 @@ def run_full_lifecycle(deployment_record, client, client_id="", transport=None,
 
 
 def _run_full_lifecycle(deployment_record, client, client_id="", transport=None,
-                        values=None, limits=None):
+                        values=None, limits=None, reads=None):
     limits = limits or INLINE_LIMITS
     transport = transport or InMemoryHttpTransport()
 
     gate = prepare_client_proxy(
         deployment_record, client, client_id=client_id,
-        transport=transport, limits=limits,
+        transport=transport, limits=limits, reads=reads,
     )
     if not gate.ok:
         return gate.failure

@@ -2,22 +2,26 @@
 
 Three pieces, stdlib-only:
 
-* :class:`WireServer` — a threaded socket-level HTTP/1.1 server hosting
-  the same ``(body, headers) -> HttpResponse`` handlers the in-memory
-  transport routes to.  Ephemeral loopback ports (a bind on an occupied
+* :class:`WireServer` — a socket-level HTTP/1.1 server hosting the
+  same ``(body, headers) -> HttpResponse`` handlers the in-memory
+  transport routes to, on one selector thread that serves persistent
+  connections.  Ephemeral loopback ports (a bind on an occupied
   requested port retries once on a fresh ephemeral port rather than
   hanging or dying), a bounded accept queue (``listen`` backlog) and a
   per-connection deadline so a stalled peer can never wedge the
   listener.
-* :class:`WireClient` — a strict byte-level HTTP client.  It frames the
-  request itself, enforces an *overall* per-request deadline (a
-  per-``recv`` timeout alone cannot catch a slowloris peer that keeps
-  trickling one byte inside the window) and classifies every way a
-  response can be malformed into the shared taxonomy of
+* :class:`WireClient` — a strict byte-level HTTP client that keeps one
+  connection alive between exchanges.  It frames the request itself,
+  enforces an *overall* per-request deadline (a per-``recv`` timeout
+  alone cannot catch a slowloris peer that keeps trickling one byte
+  inside the window) and classifies every way a response can be
+  malformed into the shared taxonomy of
   :mod:`repro.runtime.transport`: :class:`BadStatusLine`,
   :class:`HeaderOverflow`, :class:`ChunkedEncodingError`,
   :class:`PrematureEOF`, :class:`ConnectionReset`,
-  :class:`ConnectionRefused`, :class:`DeadlineExceeded`.
+  :class:`ConnectionRefused`, :class:`DeadlineExceeded`.  With tracing
+  on it splits each exchange into ``wire_connect_ms``,
+  ``wire_write_ms``, ``wire_first_byte_ms`` and ``wire_read_ms``.
 * :class:`WireTransport` — the drop-in replacement for
   :class:`InMemoryHttpTransport`: same ``register``/``unregister``/
   ``post``/``close`` interface, same response bytes for the same
@@ -27,7 +31,8 @@ Three pieces, stdlib-only:
   campaign payload**; when tracing is active it is recorded into the
   trace metrics (``wire_ms``) instead.  That is the parity guarantee:
   a sweep over ``WireTransport`` produces a canonical matrix
-  byte-identical to the in-memory sweep.
+  byte-identical to the in-memory sweep.  :func:`unit_transports` lets
+  one sweep unit's cells share one listener and one connection.
 
 Requests travel with the registered endpoint URL as the request-target
 (HTTP/1.1 absolute-form, as to a proxy), so the server dispatches on
@@ -37,7 +42,10 @@ the 404 body matches byte-for-byte.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import re
+import selectors
 import socket
 import threading
 import time
@@ -58,6 +66,7 @@ from repro.runtime.transport import (
 )
 
 _STATUS_LINE = re.compile(rb"^HTTP/1\.[01] (\d{3})(?: .*)?$")
+_REQUEST_LINE = re.compile(rb"^[A-Z]+ (\S+) HTTP/1\.([01])$")
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -79,13 +88,26 @@ def _clip(data, limit=80):
 
 
 class WireServer:
-    """Threaded HTTP/1.1 listener dispatching to registered handlers.
+    """HTTP/1.1 listener dispatching to registered handlers.
 
-    One connection carries one request (``Connection: close``), handled
-    serially on the accept thread — campaigns drive one request at a
-    time per transport, and the bounded ``listen`` backlog queues any
-    concurrent dials.  A per-connection ``settimeout`` bounds how long
-    a stalled peer can hold the listener.
+    One thread (``wire-accept-<port>``) waits, through a selector, on the
+    listening socket, a wake-up socket and every open connection at
+    once.  It accepts a dial as soon as it arrives and reads and answers
+    a request from whichever connection becomes readable, one request at
+    a time.  Connections persist (HTTP/1.1 keep-alive): every response
+    says ``Connection: keep-alive`` unless the peer asked for ``close``
+    (or spoke HTTP/1.0 without asking to keep alive), and the connection
+    then waits in the selector for the peer's next request.  An idle
+    connection is therefore never read from, so it delays neither
+    another client's connect nor :meth:`stop`.
+
+    A request the server cannot frame is answered 400 and its connection
+    closed: a malformed request or header line, a ``Content-Length``
+    that is not a non-negative decimal or disagrees with an earlier one,
+    and any request ``Transfer-Encoding``.  Left open, the unread rest
+    of such a request would be taken for the next one.  A per-connection
+    ``settimeout`` bounds how long a peer that stalls mid-request can
+    hold the listener.
     """
 
     def __init__(self, host="127.0.0.1", port=0, backlog=8,
@@ -97,6 +119,7 @@ class WireServer:
         self.connection_timeout = connection_timeout
         self._handlers = {}
         self._socket = None
+        self._wake = None
         self._thread = None
         self._finalizer = None
 
@@ -112,7 +135,7 @@ class WireServer:
         self._handlers.pop(url, None)
 
     def start(self):
-        """Bind, listen and spawn the accept thread; returns ``self``.
+        """Bind, listen and spawn the listener thread; returns ``self``.
 
         A requested port that turns out to be occupied (or otherwise
         unbindable) is retried once on a fresh ephemeral port — startup
@@ -131,28 +154,29 @@ class WireServer:
                 last_error = exc
                 continue
             sock.listen(self.backlog)
+            wake_reader, self._wake = socket.socketpair()
             self._socket = sock
             self.port = sock.getsockname()[1]
             self._thread = threading.Thread(
-                target=self._serve, name=f"wire-accept-{self.port}",
-                daemon=True,
+                target=self._serve, args=(sock, wake_reader),
+                name=f"wire-accept-{self.port}", daemon=True,
             )
             self._thread.start()
-            # GC safety net: the listener socket must not outlive the
+            # GC safety net: the listener sockets must not outlive the
             # server object even when nobody called stop().
-            self._finalizer = weakref.finalize(self, _close_socket, sock)
+            self._finalizer = weakref.finalize(
+                self, _close_sockets, sock, wake_reader, self._wake
+            )
             return self
         raise ConnectionRefused(
             f"cannot bind a listener on {self.host}: {last_error}"
         )
 
     def stop(self):
-        """Close the listener and join the accept thread.  Idempotent.
+        """Wake and join the listener thread, then close every socket.
 
-        Closing the listening socket does not wake a thread blocked in
-        ``accept()`` on Linux, so the shutdown dials one no-op wake-up
-        connection first — the loop sees the cleared socket and exits —
-        and only then closes the file descriptor.
+        Idempotent.  The thread closes the connections it holds open
+        before it exits.
         """
         sock, self._socket = self._socket, None
         if sock is None:
@@ -160,74 +184,110 @@ class WireServer:
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
+        wake, self._wake = self._wake, None
         try:
-            with socket.create_connection(
-                (self.host, self.port), timeout=1.0
-            ):
-                pass
+            wake.send(b"\0")
         except OSError:
             pass
         thread, self._thread = self._thread, None
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=self.connection_timeout + 5.0)
-        _close_socket(sock)
+        _close_sockets(sock, wake)
 
-    # -- accept loop -----------------------------------------------------------
+    # -- the listener loop -----------------------------------------------------
 
-    def _serve(self):
-        while True:
-            sock = self._socket
-            if sock is None:
-                return
-            try:
-                conn, _ = sock.accept()
-            except OSError:
-                return  # listener closed by stop()
-            try:
-                self._handle_connection(conn)
-            except Exception:
-                pass  # one broken connection must never kill the listener
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-    def _handle_connection(self, conn):
-        conn.settimeout(self.connection_timeout)
-        head, rest = _read_head(conn)
-        if head is None:
-            return  # peer vanished before completing the request
-        lines = head.split(b"\r\n")
-        match = re.match(rb"^([A-Z]+) (\S+) HTTP/1\.[01]$", lines[0])
-        if match is None:
-            _send(conn, _serialize(HttpResponse(400, "bad request line")))
-            return
-        target = match.group(2).decode("utf-8", "replace")
-        headers = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(b":")
-            if not _:
-                _send(conn, _serialize(HttpResponse(400, "bad header line")))
-                return
-            headers[name.decode("latin-1").strip()] = (
-                value.decode("latin-1").strip()
-            )
-        lowered = {key.lower(): value for key, value in headers.items()}
+    def _serve(self, listener, wake):
+        selector = selectors.DefaultSelector()
+        selector.register(listener, selectors.EVENT_READ)
+        selector.register(wake, selectors.EVENT_READ)
         try:
-            length = int(lowered.get("content-length", "0"))
-        except ValueError:
-            _send(conn, _serialize(HttpResponse(400, "bad content-length")))
-            return
+            while True:
+                try:
+                    ready = selector.select()
+                except (OSError, ValueError):
+                    return  # a socket was closed under the loop
+                for key, _ in ready:
+                    sock = key.fileobj
+                    if sock is wake:
+                        return
+                    if sock is listener:
+                        try:
+                            conn, _ = listener.accept()
+                        except OSError:
+                            continue  # the dialer gave up first
+                        conn.settimeout(self.connection_timeout)
+                        selector.register(conn, selectors.EVENT_READ)
+                    elif not self._serve_connection(sock):
+                        selector.unregister(sock)
+                        _close_sockets(sock)
+        finally:
+            for key in list(selector.get_map().values()):
+                if key.fileobj is not listener:
+                    _close_sockets(key.fileobj)
+            selector.close()
+
+    def _serve_connection(self, conn):
+        """Answer the request(s) ready on ``conn``; False to close it.
+
+        Bytes past a request's body are the start of the next request,
+        so they are answered before the connection goes back to the
+        selector.
+        """
+        pending = b""
+        keep = True
+        try:
+            while keep:
+                keep, pending = self._serve_request(conn, pending)
+                if not pending:
+                    return keep
+        except Exception:
+            pass  # one broken connection must never kill the listener
+        return False
+
+    def _serve_request(self, conn, pending):
+        """Read, dispatch and answer one request.
+
+        Returns ``(keep, pending)``: whether the connection stays open,
+        and the bytes already read past this request.
+        """
+        head, rest = _read_head(conn, pending)
+        if head is None:
+            return False, b""  # the peer closed, stalled or overflowed
+        lines = head.split(b"\r\n")
+        match = _REQUEST_LINE.match(lines[0])
+        if match is None:
+            return _refuse(conn, "bad request line")
+        target = match.group(1).decode("utf-8", "replace")
+        headers = {}
+        lengths = set()
+        for line in lines[1:]:
+            name, sep, value = line.partition(b":")
+            if not sep:
+                return _refuse(conn, "bad header line")
+            name = name.decode("latin-1").strip()
+            value = value.decode("latin-1").strip()
+            if name.lower() == "transfer-encoding":
+                return _refuse(conn, "unsupported transfer-encoding")
+            if name.lower() == "content-length":
+                lengths.add(value)
+            headers[name] = value
+        length_text = lengths.pop() if lengths else "0"
+        if lengths or not (length_text.isascii() and length_text.isdigit()):
+            return _refuse(conn, "bad content-length")
+        length = int(length_text)
         body = rest
         while len(body) < length:
             chunk = conn.recv(_RECV_CHUNK)
             if not chunk:
-                return  # peer died mid-request; nothing to answer
+                return False, b""  # peer died mid-request; nothing to answer
             body += chunk
-        _send(conn, _serialize(self._dispatch(
-            target, body.decode("utf-8", "replace"), headers
-        )))
+        keep = _keeps_alive(match.group(2), headers)
+        response = self._dispatch(
+            target, body[:length].decode("utf-8", "replace"), headers
+        )
+        if not _send(conn, _serialize(response, keep)):
+            return False, b""
+        return keep, body[length:]
 
     def _dispatch(self, target, body, headers):
         """The in-memory transport's routing semantics, byte-for-byte."""
@@ -245,20 +305,40 @@ class WireServer:
         return HttpResponse(status=200, body=str(outcome))
 
 
-def _close_socket(sock):
-    try:
-        sock.close()
-    except OSError:
-        pass
+def _keeps_alive(minor_version, headers):
+    """HTTP/1.1 persists unless the peer says ``close``; HTTP/1.0 only
+    when it says ``keep-alive``."""
+    tokens = {
+        token.strip().lower()
+        for name, value in headers.items() if name.lower() == "connection"
+        for token in value.split(",")
+    }
+    if minor_version == b"0":
+        return "keep-alive" in tokens
+    return "close" not in tokens
 
 
-def _read_head(conn):
+def _refuse(conn, reason):
+    """Answer 400 and close: the request cannot be framed."""
+    _send(conn, _serialize(HttpResponse(400, reason), keep_alive=False))
+    return False, b""
+
+
+def _close_sockets(*socks):
+    for sock in socks:
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+
+def _read_head(conn, buffer):
     """Read up to the blank line; ``(None, b"")`` when the peer quits."""
-    buffer = b""
     while b"\r\n\r\n" not in buffer:
         if len(buffer) > MAX_HEADER_BYTES:
             _send(conn, _serialize(
-                HttpResponse(431, "request header block too large")
+                HttpResponse(431, "request header block too large"),
+                keep_alive=False,
             ))
             return None, b""
         try:
@@ -273,20 +353,22 @@ def _read_head(conn):
 
 
 def _send(conn, data):
+    """Send ``data``; False when the peer is gone."""
     try:
         conn.sendall(data)
     except OSError:
-        pass  # the peer is gone; its loss
+        return False
+    return True
 
 
-def _serialize(response):
+def _serialize(response, keep_alive):
     payload = response.body.encode("utf-8")
     reason = _REASONS.get(response.status, "Unknown")
     lines = [
         f"HTTP/1.1 {response.status} {reason}",
         "Content-Type: text/xml; charset=utf-8",
         f"Content-Length: {len(payload)}",
-        "Connection: close",
+        "Connection: keep-alive" if keep_alive else "Connection: close",
     ]
     for name, value in response.headers.items():
         lines.append(f"{_header_safe(name)}: {_header_safe(value)}")
@@ -300,6 +382,39 @@ def _header_safe(text):
 # -- client -------------------------------------------------------------------
 
 
+class _PartClock:
+    """Times the parts of one exchange for the tracer's ``wire_*_ms``.
+
+    ``mark(part)`` closes the part that ended now; ``record`` observes
+    every closed part, only when tracing is on.  The parts are
+    ``connect`` (only on an exchange that opened a connection),
+    ``write``, ``first_byte`` (waiting for the first response byte) and
+    ``read`` (the rest of the response).
+    """
+
+    __slots__ = ("last", "spent")
+
+    def __init__(self):
+        self.last = time.monotonic()
+        self.spent = []
+
+    def mark(self, part):
+        now = time.monotonic()
+        self.spent.append((part, (now - self.last) * 1000.0))
+        self.last = now
+
+    @property
+    def answered(self):
+        """True once the first response byte has arrived."""
+        return any(part == "first_byte" for part, _ in self.spent)
+
+    def record(self):
+        tracer = current_tracer()
+        if tracer.enabled:
+            for part, ms in self.spent:
+                tracer.metrics.observe(f"wire_{part}_ms", ms)
+
+
 class WireClient:
     """Strict byte-level HTTP/1.1 client with classified framing errors.
 
@@ -307,6 +422,17 @@ class WireClient:
     (connect + send + read-to-completion), not a per-``recv`` window —
     the distinction that makes slowloris trickling a classified
     :class:`DeadlineExceeded` instead of an indefinite stall.
+
+    The client keeps one connection open between exchanges (HTTP/1.1
+    keep-alive).  An exchange takes the kept connection for itself, so
+    one exchange at a time owns it, and hands it back only after a
+    complete response that is framed, says ``Connection: keep-alive``
+    and leaves no trailing bytes — and only when no later exchange has
+    begun since, so a post its caller abandoned (a guard deadline)
+    never hands its connection on.  When a kept connection closes or
+    resets before a response byte (the server dropped it while idle),
+    the exchange dials once more; every other failure raises.
+    :meth:`close` closes the kept connection.
     """
 
     def __init__(self, timeout=10.0, max_header_bytes=MAX_HEADER_BYTES,
@@ -314,6 +440,12 @@ class WireClient:
         self.timeout = timeout
         self.max_header_bytes = max_header_bytes
         self.max_line_bytes = max_line_bytes
+        self._lock = threading.Lock()
+        #: ``((host, port), socket)`` of the idle kept connection.
+        self._kept = None
+        #: Bumped by every exchange and by close(); an exchange keeps
+        #: its connection only while the count is still its own.
+        self._epoch = 0
 
     def post(self, host, port, target, body, headers=None, timeout=None):
         """POST ``body`` to ``host:port`` with ``target`` as request-target."""
@@ -326,27 +458,95 @@ class WireClient:
             f"Host: {host}:{port}",
             "Content-Type: text/xml; charset=utf-8",
             f"Content-Length: {len(payload)}",
-            "Connection: close",
         ]
         for name, value in (headers or {}).items():
             lines.append(f"{_header_safe(name)}: {_header_safe(value)}")
         request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
 
-        sock = self._connect(host, port, deadline)
+        address = (host, port)
+        with self._lock:
+            self._epoch += 1
+            epoch = self._epoch
+            kept, self._kept = self._kept, None
+        sock = None
+        if kept is not None:
+            if kept[0] == address:
+                sock = kept[1]
+            else:
+                _close_sockets(kept[1])
+        parts = _PartClock()
         try:
-            try:
-                sock.sendall(request)
-            except socket.timeout:
-                raise DeadlineExceeded(f"send to {host}:{port} timed out")
-            except (ConnectionResetError, BrokenPipeError) as exc:
-                raise ConnectionReset(f"reset while sending: {exc}")
-            except OSError as exc:
-                raise TransportError(f"send failed: {exc}")
-            return self._read_response(sock, deadline)
+            if sock is not None:
+                try:
+                    response, reusable = self._exchange(
+                        sock, request, address, deadline, parts
+                    )
+                except (ConnectionReset, PrematureEOF):
+                    if parts.answered:
+                        raise  # the server answered: no second try
+                    # Dropped while idle, before any response byte.
+                    _close_sockets(sock)
+                    sock = None
+                    parts.spent.clear()
+            if sock is None:
+                sock = self._connect(host, port, deadline)
+                parts.mark("connect")
+                response, reusable = self._exchange(
+                    sock, request, address, deadline, parts
+                )
+        except BaseException:
+            if sock is not None:
+                _close_sockets(sock)
+            raise
         finally:
-            _close_socket(sock)
+            parts.record()
+        with self._lock:
+            if reusable and epoch == self._epoch:
+                self._kept, sock = (address, sock), None
+        if sock is not None:
+            _close_sockets(sock)
+        return response
+
+    def close(self):
+        """Close the kept connection; no exchange begun before this
+        call keeps its connection afterwards.  Idempotent."""
+        with self._lock:
+            self._epoch += 1
+            kept, self._kept = self._kept, None
+        if kept is not None:
+            _close_sockets(kept[1])
 
     # -- internals -------------------------------------------------------------
+
+    def _exchange(self, sock, request, address, deadline, parts):
+        """Send ``request`` on ``sock`` and read the response.
+
+        Returns ``(response, reusable)``; ``parts`` gets ``write``,
+        ``first_byte`` and ``read`` as each ends.
+        """
+        host, port = address
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise DeadlineExceeded(
+                f"deadline spent before sending to {host}:{port}"
+            )
+        sock.settimeout(remaining)
+        try:
+            sock.sendall(request)
+        except socket.timeout:
+            raise DeadlineExceeded(f"send to {host}:{port} timed out")
+        except (ConnectionResetError, BrokenPipeError) as exc:
+            raise ConnectionReset(f"reset while sending: {exc}")
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}")
+        parts.mark("write")
+        first = self._recv(sock, deadline, "reading headers")
+        if not first:
+            raise PrematureEOF("peer closed before the status line")
+        parts.mark("first_byte")
+        result = self._read_response(sock, deadline, first)
+        parts.mark("read")
+        return result
 
     def _connect(self, host, port, deadline):
         remaining = deadline - time.monotonic()
@@ -375,8 +575,8 @@ class WireClient:
         except OSError as exc:
             raise TransportError(f"read failed {context}: {exc}")
 
-    def _read_response(self, sock, deadline):
-        buffer = b""
+    def _read_response(self, sock, deadline, buffer):
+        """``(response, reusable)`` from the bytes after ``buffer``."""
         while b"\r\n\r\n" not in buffer:
             if len(buffer) > self.max_header_bytes:
                 raise HeaderOverflow(
@@ -384,17 +584,21 @@ class WireClient:
                 )
             chunk = self._recv(sock, deadline, "reading headers")
             if not chunk:
-                if not buffer:
-                    raise PrematureEOF("peer closed before the status line")
                 raise PrematureEOF("peer closed inside the header block")
             buffer += chunk
         head, _, rest = buffer.partition(b"\r\n\r\n")
         status, headers = self._parse_head(head)
-        body = self._read_body(sock, deadline, headers, rest)
-        return HttpResponse(
+        body, trailing = self._read_body(sock, deadline, headers, rest)
+        tokens = {
+            token.strip().lower()
+            for name, value in headers.items() if name.lower() == "connection"
+            for token in value.split(",")
+        }
+        response = HttpResponse(
             status=status, body=body.decode("utf-8", "replace"),
             headers=headers,
         )
+        return response, trailing == b"" and "keep-alive" in tokens
 
     def _parse_head(self, head):
         lines = head.split(b"\r\n")
@@ -425,6 +629,8 @@ class WireClient:
         return int(match.group(1)), headers
 
     def _read_body(self, sock, deadline, headers, initial):
+        """``(body, trailing)``: the bytes read past the framed body, or
+        ``None`` for a body delimited by the peer closing."""
         lowered = {key.lower(): value for key, value in headers.items()}
         encoding = lowered.get("transfer-encoding", "").lower()
         if encoding:
@@ -449,13 +655,14 @@ class WireClient:
                         f"peer closed after {len(body)} of {length} body bytes"
                     )
                 body += chunk
-            return body[:length]
+            return body[:length], body[length:]
         # No framing header: read until EOF (HTTP/1.0 style close-delimited).
         body = initial
         while True:
             chunk = self._recv(sock, deadline, "reading body")
             if not chunk:
-                return body
+                return body, None
+            body += chunk
 
     def _read_chunked(self, sock, deadline, initial):
         buffer = initial
@@ -507,7 +714,7 @@ class WireClient:
         while True:
             line = read_line("reading trailers")
             if not line:
-                return body
+                return body, buffer
 
 
 # -- transport ----------------------------------------------------------------
@@ -516,18 +723,27 @@ class WireClient:
 class WireTransport:
     """The in-memory transport's interface over a real loopback socket.
 
-    Lazily starts its :class:`WireServer` on first use; ``close`` shuts
-    the listener down and makes further POSTs raise
-    :class:`ConnectionRefused` — exactly like a closed
+    Built on its own, a transport owns a :class:`WireServer`, started on
+    first use, and a :class:`WireClient`, whose one kept connection
+    carries every POST; ``close`` closes that connection and stops the
+    listener.  A sweep unit instead builds each cell's transport over
+    the unit's shared server and client (:func:`unit_transports`), and
+    such a transport's ``close`` removes only the endpoints it
+    registered.  Either way a closed transport refuses further POSTs
+    with :class:`ConnectionRefused` — exactly like a closed
     :class:`InMemoryHttpTransport`.  Responses always carry
     ``elapsed_ms == 0.0``; the measured wall time goes to the active
     tracer's metrics (``wire_ms``) so campaign payloads stay
     byte-identical to the in-memory stack.
     """
 
-    def __init__(self, host="127.0.0.1", port=0, client_timeout=10.0):
-        self._server = WireServer(host=host, port=port)
-        self._client = WireClient(timeout=client_timeout)
+    def __init__(self, host="127.0.0.1", port=0, client_timeout=10.0,
+                 server=None, client=None):
+        self._owner = server is None
+        self._server = server or WireServer(host=host, port=port)
+        self._client = client or WireClient(timeout=client_timeout)
+        #: The endpoint URLs this transport registered on the server.
+        self._urls = set()
         self.requests_sent = 0
         self.closed = False
 
@@ -539,10 +755,13 @@ class WireTransport:
 
     def register(self, url, handler):
         self._server.start()
+        self._urls.add(url)
         return self._server.register(url, handler)
 
     def unregister(self, url):
-        self._server.unregister(url)
+        if url in self._urls:
+            self._urls.discard(url)
+            self._server.unregister(url)
 
     def post(self, url, body, headers=None):
         if self.closed:
@@ -566,9 +785,39 @@ class WireTransport:
         return response
 
     def close(self):
-        """Stop the listener; further POSTs refuse.  Idempotent."""
+        """Refuse further POSTs and remove this transport's endpoints; an
+        owning transport also closes its connection and stops its
+        listener.  Idempotent."""
         self.closed = True
-        self._server.stop()
+        for url in list(self._urls):
+            self.unregister(url)
+        if self._owner:
+            self._client.close()
+            self._server.stop()
+
+
+@contextlib.contextmanager
+def unit_transports(factory):
+    """``factory`` as one sweep unit's cells should call it.
+
+    A unit builds one transport per cell.  When ``factory`` is
+    :class:`WireTransport`, the transports built inside the block share
+    one :class:`WireServer` and one :class:`WireClient`: one listener
+    thread and one kept connection for the whole unit.  Leaving the
+    block closes the connection and stops the listener, also when the
+    unit raised, so no ``wire-*`` thread outlives its unit.  Any other
+    factory (the in-memory transport, the regress drill-down's
+    recorders) comes back unchanged.
+    """
+    if factory is not WireTransport:
+        yield factory
+        return
+    server, client = WireServer(), WireClient()
+    try:
+        yield functools.partial(WireTransport, server=server, client=client)
+    finally:
+        client.close()
+        server.stop()
 
 
 def transport_factory_for(name):

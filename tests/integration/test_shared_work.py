@@ -4,6 +4,8 @@ Each test pins one count that must not grow with the number of clients
 or with the size of the deployed corpus:
 
 * a fuzz mutant is read once, however many clients drive it;
+* ``invoke``, ``resilience`` and ``lifecycle-campaign`` read each
+  sampled record once per unit, and every client shares that read;
 * an echoed response is parsed once, by the client proxy — the
   response validator reuses that envelope;
 * a sampled sweep serializes the WSDL of each sampled record once and
@@ -17,6 +19,7 @@ or with the size of the deployed corpus:
   for its verdict, however the result was assembled.
 """
 
+import dataclasses
 import itertools
 import multiprocessing
 
@@ -27,6 +30,7 @@ import repro.core.campaign as campaign_module
 import repro.frameworks.client.engine as engine_module
 import repro.invoke.campaign as invoke_campaign_module
 import repro.invoke.response as response_module
+import repro.runtime.lifecycle as lifecycle_module
 from repro.core import Campaign, CampaignConfig
 from repro.core.outcomes import intern_outcome
 from repro.core.store import CampaignCheckpoint, result_to_obj
@@ -39,8 +43,10 @@ from repro.faults import (
     ResilienceCampaignConfig,
 )
 from repro.invoke.campaign import InvocationCampaign, InvocationCampaignConfig
-from repro.frameworks.registry import CLIENT_IDS
+from repro.frameworks.registry import CLIENT_IDS, all_client_frameworks
 from repro.obs import Tracer, activate, trace_id_for
+from repro.runtime import GuardLimits
+from repro.runtime.lifecycle import SharedReads, run_full_lifecycle
 from repro.runtime.pool import PoolConfig, execute_sharded
 from repro.typesystem import QUICK_DOTNET_QUOTAS, QUICK_JAVA_QUOTAS
 
@@ -93,6 +99,120 @@ class TestFuzzReadsEachMutantOnce:
         assert len(driven) > len(mutants_read) > 0
         assert len(reads) == len(mutants_read)
         assert result.unclassified_total == 0
+
+
+def _traced_read_spans(kind, config, campaign):
+    """Run ``campaign`` traced; its result and its ``wsdl-read`` spans."""
+    tracer = Tracer(trace_id_for(kind, config.fingerprint()))
+    with activate(tracer):
+        result = campaign.run()
+    spans = [event for event in tracer.events if event["type"] == "span"]
+    return result, [span for span in spans if span["name"] == "wsdl-read"]
+
+
+class TestSampledSweepsReadEachRecordOnce:
+    """One ``wsdl-read`` per sampled record per unit, not per client."""
+
+    def _assert_once_per_record(self, result, reads, config):
+        sampled = sum(result.services_per_server.values())
+        assert len(config.base.client_ids) > 1
+        assert sampled > 0
+        assert len(reads) == sampled
+
+    def test_invoke(self):
+        config = InvocationCampaignConfig(
+            base=_quick_config(), sample_per_server=2, payloads_per_class=1,
+        )
+        result, reads = _traced_read_spans(
+            "invoke", config, InvocationCampaign(config)
+        )
+        self._assert_once_per_record(result, reads, config)
+
+    def test_resilience(self):
+        config = ResilienceCampaignConfig(
+            base=_quick_config(), sample_per_server=2,
+            fault_kinds=(FaultKind.HTTP_503, FaultKind.LATENCY),
+            rates=(0.4,),
+        )
+        result, reads = _traced_read_spans(
+            "resilience", config, ResilienceCampaign(config)
+        )
+        self._assert_once_per_record(result, reads, config)
+
+    def test_lifecycle_campaign(self):
+        campaign = LifecycleCampaign(_quick_config(), sample_per_server=2)
+        config = campaign.shard_job().config
+        result, reads = _traced_read_spans("lifecycle", config, campaign)
+        self._assert_once_per_record(result, reads, config)
+
+    def test_the_shared_document_is_left_as_read(self, monkeypatch):
+        """No client's gate, proxy or invocations change the document
+        every client of the record shares."""
+        taken = []
+        original = lifecycle_module.guarded_read
+
+        def keeping(text, limits=None):
+            verdict = original(text, limits)
+            taken.append((verdict, text, limits))
+            return verdict
+
+        monkeypatch.setattr(lifecycle_module, "guarded_read", keeping)
+        InvocationCampaign(InvocationCampaignConfig(
+            base=_quick_config(), sample_per_server=2, payloads_per_class=1,
+        )).run()
+        LifecycleCampaign(_quick_config(), sample_per_server=2).run()
+        assert len(taken) > 2
+        for verdict, text, limits in taken:
+            # A fresh read of the same text is the document as read.
+            assert verdict.ok
+            assert verdict.value == original(text, limits).value
+
+
+class TestASharedFailedReadFailsEachClientAsBefore:
+    """A shared read that fails gives every client the outcome it got
+    when each client read the WSDL itself."""
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        from repro.appservers import container_for
+
+        config = _quick_config()
+        container = container_for("metro")
+        container.deploy_corpus(Campaign(config).corpus_for("metro"))
+        return container.deployed[0]
+
+    def _outcomes(self, record, limits):
+        reads = SharedReads(limits)
+        shared, own = [], []
+        for client_id, client in all_client_frameworks().items():
+            shared.append(run_full_lifecycle(
+                record, client, client_id=client_id, limits=limits,
+                reads=reads,
+            ))
+            own.append(run_full_lifecycle(
+                record, client, client_id=client_id, limits=limits,
+            ))
+        return shared, own
+
+    def test_unparseable_wsdl(self, record):
+        broken = dataclasses.replace(record)
+        broken.wsdl_text = record.wsdl_text[: len(record.wsdl_text) // 2]
+        shared, own = self._outcomes(broken, None)
+        assert shared == own
+        assert {outcome.triage for outcome in shared} == {"parser-crash"}
+        assert all(
+            outcome.generation.value == "error" for outcome in shared
+        )
+
+    def test_wsdl_over_the_input_budget(self, record):
+        limits = GuardLimits(deadline_seconds=None, max_input_bytes=100)
+        shared, own = self._outcomes(record, limits)
+        assert shared == own
+        assert {outcome.triage for outcome in shared} == {"resource-blowup"}
+        assert all(
+            outcome.detail.startswith("[resource-blowup] wsdl-read: input of")
+            for outcome in shared
+        )
 
 
 class TestInvokeParsesEachResponseOnce:

@@ -128,6 +128,88 @@ class TestWireFaultSweep:
         assert _no_wire_threads()
 
 
+class TestOneListenerPerUnit:
+    def test_a_units_cells_share_one_listener(self, monkeypatch):
+        from repro.runtime import WireServer
+
+        started = []
+        original = WireServer.start
+
+        def counting(self):
+            if not self.running:
+                started.append(self)
+            return original(self)
+
+        monkeypatch.setattr(WireServer, "start", counting)
+        config = _invoke_config("wire")
+        result = InvocationCampaign(config).run()
+        invoked = sum(gate["invoked"] for gate in result.gates.values())
+        units = len(config.base.server_ids)
+        assert invoked > 2 * units
+        assert len(started) == units
+        assert _no_wire_threads()
+
+    def test_raising_unit_leaves_no_wire_thread(self, monkeypatch):
+        import repro.invoke.campaign as invoke_module
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("validator bug")
+
+        monkeypatch.setattr(invoke_module, "validate_response", broken)
+        campaign = InvocationCampaign(_invoke_config("wire"))
+        unit = campaign.shard_job().units()[0]
+        with pytest.raises(RuntimeError, match="validator bug"):
+            campaign.run_shard_unit(unit)
+        assert _no_wire_threads()
+
+    def test_raising_resilience_unit_leaves_no_wire_thread(
+        self, monkeypatch
+    ):
+        import repro.faults.campaign as faults_module
+
+        calls = []
+        original = faults_module.run_full_lifecycle
+
+        def failing_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("lifecycle bug")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(faults_module, "run_full_lifecycle", failing_second)
+        campaign = ResilienceCampaign(_resilience_config("wire"))
+        unit = campaign.shard_job().units()[0]
+        with pytest.raises(RuntimeError, match="lifecycle bug"):
+            campaign.run_shard_unit(unit)
+        assert _no_wire_threads()
+
+
+class TestTracedWireSweep:
+    def test_traced_payload_is_the_untraced_one_and_splits_wire_ms(self):
+        from repro.invoke import invoke_result_to_obj
+        from repro.obs import Tracer, activate, trace_id_for
+
+        config = _invoke_config("wire")
+        untraced = invoke_result_to_obj(InvocationCampaign(config).run())
+        tracer = Tracer(trace_id_for("invoke", config.fingerprint()))
+        with activate(tracer):
+            traced = invoke_result_to_obj(InvocationCampaign(config).run())
+        assert traced == untraced
+        counts = {
+            event["name"]: event["count"]
+            for event in tracer.metrics.to_events()
+            if event["kind"] == "histogram"
+            and event["name"].startswith("wire_")
+        }
+        posts = counts["wire_ms"]
+        assert posts > 0
+        assert counts["wire_write_ms"] == posts
+        assert counts["wire_first_byte_ms"] == posts
+        assert counts["wire_read_ms"] == posts
+        # One connection per unit that posted.
+        assert 0 < counts["wire_connect_ms"] <= len(config.base.server_ids)
+
+
 class TestDeterminism:
     def test_wire_sweep_is_seed_deterministic(self):
         config = _resilience_config("wire")

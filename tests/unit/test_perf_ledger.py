@@ -135,6 +135,46 @@ class TestProfileExtraction:
             assert obj["samples"] == durations
             assert len(durations) == obj["count"]
 
+    def test_wire_section_splits_each_exchange(self):
+        from repro.obs import activate
+        from repro.reporting.profile import render_profile
+        from repro.runtime import WireTransport
+
+        tracer = Tracer("tid")
+        with tracer.span("cell", server="metro", client="suds"):
+            with activate(tracer):
+                transport = WireTransport()
+                transport.register("http://x", lambda body, headers: body)
+                try:
+                    for index in range(5):
+                        transport.post("http://x", f"payload {index}")
+                finally:
+                    transport.close()
+        tracer.emit_root()
+        trace = trace_to_profile_inputs(
+            "tid", "invoke", 1, tracer.events, tracer.metrics
+        )
+        profile = perf_profile(trace)
+        assert profile["wire"]["count"] == 5
+        parts = profile["wire_parts"]
+        assert list(parts) == ["connect", "write", "first_byte", "read"]
+        # One kept connection: only the first exchange connects.
+        assert parts["connect"]["count"] == 1
+        for part in ("write", "first_byte", "read"):
+            assert parts[part]["count"] == 5
+        # The parts are disjoint stretches of the posts they split.
+        assert sum(part["total_ms"] for part in parts.values()) <= (
+            profile["wire"]["total_ms"] + 0.01
+        )
+        rendered = render_profile(trace)
+        assert "Wire exchanges" in rendered
+        assert "first_byte" in rendered
+
+    def test_profiles_without_wire_posts_have_no_wire_parts(self):
+        profile = perf_profile(_traced_trace())
+        assert profile["wire"] is None
+        assert profile["wire_parts"] is None
+
     def test_many_span_stages_keep_only_buckets(self):
         tracer = Tracer("tid")
         for _ in range(EXACT_STAGE_SAMPLES + 1):

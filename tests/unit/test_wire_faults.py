@@ -123,6 +123,46 @@ class TestWireFaultingTransport:
         ]
 
 
+class TestFaultsBesideAKeptConnection:
+    def test_fault_table_holds_while_the_client_keeps_a_connection(
+        self, monkeypatch
+    ):
+        """Every pathology still raises its classified error when the
+        inner transport holds a kept connection to the real server, and
+        that connection carries the clean posts in between: fault
+        connections are never kept, and never displace it."""
+        from repro.runtime import WireTransport
+
+        opened = []
+        original = WireClient._connect
+
+        def counting(self, host, port, deadline):
+            opened.append(port)
+            return original(self, host, port, deadline)
+
+        monkeypatch.setattr(WireClient, "_connect", counting)
+        inner = WireTransport()
+        inner.register("http://x", lambda body, headers: "pong")
+        try:
+            assert inner.post("http://x", "ping").body == "pong"
+            server_port = inner.server_address[1]
+            for kind in DEFAULT_WIRE_FAULT_KINDS:
+                faulting = WireFaultingTransport(
+                    inner, WireFaultPlan.single(3, kind, 1.0)
+                )
+                with pytest.raises(EXPECTED_ERRORS[kind]):
+                    faulting.post("http://x", "ping")
+                assert inner.post("http://x", "ping").body == "pong"
+        finally:
+            inner.close()
+        assert opened.count(server_port) == 1
+        assert len(opened) == 1 + len(DEFAULT_WIRE_FAULT_KINDS)
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("wire-")
+        ]
+
+
 class TestSharedTaxonomy:
     """Satellite 1: both stacks raise the *same* classified errors."""
 

@@ -9,6 +9,7 @@ run parametrized over both transports.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -161,6 +162,34 @@ class TestWireClient:
             WireClient(timeout=2.0).post("127.0.0.1", port, "/x", "body")
         thread.join(timeout=5.0)
 
+    def test_close_delimited_body_is_read_whole(self):
+        """A response with no framing header ends where the peer closes:
+        every byte up to the close is the body, and the connection is
+        not kept."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        sent = threading.Event()
+
+        def run():
+            conn, _ = listener.accept()
+            with conn:
+                _read_raw_response(conn)
+                conn.sendall(b"HTTP/1.0 200 OK\r\n\r\nfirst part, ")
+                sent.wait(5.0)
+                conn.sendall(b"second part")
+            listener.close()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        threading.Timer(0.2, sent.set).start()
+        client = WireClient(timeout=5.0)
+        response = client.post("127.0.0.1", port, "/x", "body")
+        thread.join(timeout=5.0)
+        assert response.body == "first part, second part"
+        assert client._kept is None
+
     def test_spent_deadline_never_dials(self):
         with pytest.raises(DeadlineExceeded):
             WireClient(timeout=-1.0).post("127.0.0.1", 1, "/x", "body")
@@ -186,4 +215,327 @@ class TestFactory:
         transport.register("http://x", lambda body, headers: "ok")
         close_transport(Wrapper(Wrapper(transport)))
         assert transport.closed
+        assert not _wire_threads()
+
+
+def _read_raw_response(sock):
+    """One framed response off ``sock``: ``(head, body)`` bytes."""
+    buffer = b""
+    while b"\r\n\r\n" not in buffer:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return buffer, b""
+        buffer += chunk
+    head, _, body = buffer.partition(b"\r\n\r\n")
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    while len(body) < length:
+        body += sock.recv(65536)
+    return head, body
+
+
+def _request(body, extra=b""):
+    return (
+        b"POST http://x HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        + extra + b"Content-Length: " + str(len(body)).encode()
+        + b"\r\n\r\n" + body
+    )
+
+
+class TestServerFraming:
+    """A request the server cannot frame is refused, never dispatched."""
+
+    @pytest.fixture
+    def served(self):
+        calls = []
+        server = WireServer().start()
+        server.register(
+            "http://x", lambda body, headers: calls.append(body) or "pong"
+        )
+        yield server, calls
+        server.stop()
+        assert not _wire_threads()
+
+    def _send_raw(self, server, data):
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(data)
+            head, body = _read_raw_response(sock)
+            # The server closes the connection after refusing.
+            assert sock.recv(65536) == b""
+        return head, body
+
+    def test_negative_content_length_is_refused(self, served):
+        server, calls = served
+        head, body = self._send_raw(
+            server,
+            b"POST http://x HTTP/1.1\r\nContent-Length: -5\r\n\r\nabcdefgh",
+        )
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert body == b"bad content-length"
+        assert calls == []
+
+    def test_request_transfer_encoding_is_refused(self, served):
+        server, calls = served
+        head, body = self._send_raw(
+            server,
+            b"POST http://x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"4\r\nping\r\n0\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert body == b"unsupported transfer-encoding"
+        assert calls == []
+
+    def test_conflicting_content_lengths_are_refused(self, served):
+        server, calls = served
+        head, _ = self._send_raw(
+            server,
+            b"POST http://x HTTP/1.1\r\nContent-Length: 4\r\n"
+            b"Content-Length: 2\r\n\r\nping",
+        )
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert calls == []
+
+    def test_second_request_on_one_connection(self, served):
+        server, calls = served
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(_request(b"one"))
+            head, body = _read_raw_response(sock)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"Connection: keep-alive" in head
+            assert body == b"pong"
+            sock.sendall(_request(b"two", b"Connection: close\r\n"))
+            head, body = _read_raw_response(sock)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"Connection: close" in head
+            assert body == b"pong"
+            assert sock.recv(65536) == b""  # the peer's close is honoured
+        assert calls == ["one", "two"]
+
+    def test_pipelined_requests_are_answered_in_order(self, served):
+        server, calls = served
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                _request(b"a") + _request(b"b", b"Connection: close\r\n")
+            )
+            answers = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                answers += chunk
+        assert answers.count(b"HTTP/1.1 200 OK\r\n") == 2
+        assert answers.endswith(b"pong")
+        assert calls == ["a", "b"]
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Every socket a :class:`WireClient` opens, in order."""
+    opened = []
+    original = WireClient._connect
+
+    def counting(self, host, port, deadline):
+        sock = original(self, host, port, deadline)
+        opened.append(sock)
+        return sock
+
+    monkeypatch.setattr(WireClient, "_connect", counting)
+    return opened
+
+
+class TestKeptConnections:
+    def test_fifty_posts_connect_once_with_fresh_transport_bytes(
+        self, connects
+    ):
+        def echo(body, headers):
+            return f"<echo>{body}</echo>"
+
+        fresh = []
+        for index in range(50):
+            transport = WireTransport()
+            transport.register("http://x", echo)
+            response = transport.post("http://x", f"payload-{index}")
+            fresh.append((response.status, response.body, response.elapsed_ms))
+            transport.close()
+        assert len(connects) == 50
+        del connects[:]
+
+        transport = WireTransport()
+        transport.register("http://x", echo)
+        try:
+            kept = []
+            for index in range(50):
+                response = transport.post("http://x", f"payload-{index}")
+                kept.append(
+                    (response.status, response.body, response.elapsed_ms)
+                )
+        finally:
+            transport.close()
+        assert kept == fresh
+        assert len(connects) == 1
+        assert not _wire_threads()
+
+    def test_idle_connection_delays_neither_client_nor_stop(self):
+        server = WireServer(connection_timeout=10.0).start()
+        server.register("http://x", lambda body, headers: "ok")
+        idle, other = WireClient(), WireClient()
+        address = ("127.0.0.1", server.port)
+        try:
+            assert idle.post(*address, "http://x", "1").body == "ok"
+            started = time.monotonic()
+            assert other.post(*address, "http://x", "2").body == "ok"
+            assert time.monotonic() - started < 2.0
+        finally:
+            started = time.monotonic()
+            server.stop()
+            stopped = time.monotonic() - started
+            idle.close()
+            other.close()
+        assert stopped < 2.0
+        assert not _wire_threads()
+
+    def test_dropped_idle_connection_reconnects_once(self, connects):
+        """The server closes a kept connection while it is idle; the next
+        post finds it dead before any response byte and dials once more,
+        and the request reaches a handler exactly once."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(2)
+        port = listener.getsockname()[1]
+        handled = []
+        first_closed = threading.Event()
+
+        def serve():
+            for _ in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    head, body = _read_raw_response(conn)
+                    handled.append(body)
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                        b"Connection: keep-alive\r\n\r\nok"
+                    )
+                    if len(handled) == 2:
+                        conn.recv(1)  # wait for the client to hang up
+                first_closed.set()
+            listener.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = WireClient(timeout=5.0)
+        try:
+            assert client.post("127.0.0.1", port, "/x", "one").body == "ok"
+            assert first_closed.wait(5.0)
+            assert client.post("127.0.0.1", port, "/x", "two").body == "ok"
+        finally:
+            client.close()
+        thread.join(timeout=5.0)
+        assert handled == [b"one", b"two"]
+        assert len(connects) == 2
+
+    def test_answered_failure_is_not_retried(self, connects):
+        """A kept connection that answers, however badly, is not
+        re-dialled: only a connection that gave no byte is."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                _read_raw_response(conn)
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                    b"Connection: keep-alive\r\n\r\nok"
+                )
+                _read_raw_response(conn)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nok")
+            listener.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = WireClient(timeout=5.0)
+        try:
+            client.post("127.0.0.1", port, "/x", "one")
+            with pytest.raises(PrematureEOF):
+                client.post("127.0.0.1", port, "/x", "two")
+        finally:
+            client.close()
+        thread.join(timeout=5.0)
+        assert len(connects) == 1
+
+    def test_abandoned_post_never_hands_its_connection_on(self, connects):
+        from repro.runtime.guard import GuardedStep, GuardLimits, TriageBucket
+
+        release = threading.Event()
+        finished = threading.Event()
+
+        class Client(WireClient):
+            def post(self, host, port, target, body, *args, **kwargs):
+                try:
+                    return super().post(host, port, target, body, *args,
+                                        **kwargs)
+                finally:
+                    if body == "slow":
+                        finished.set()
+
+        def handler(body, headers):
+            if body == "slow":
+                release.wait(10.0)
+            return f"answer to {body}"
+
+        transport = WireTransport(client=Client())
+        transport.register("http://x", handler)
+        try:
+            assert transport.post("http://x", "warm").body == "answer to warm"
+            verdict = GuardedStep(
+                "invoke", transport.post,
+                limits=GuardLimits(deadline_seconds=0.2),
+            ).run("http://x", "slow")
+            assert verdict.bucket is TriageBucket.TIMEOUT
+            # The abandoned post still owns the kept connection; the next
+            # post dials its own and reads its own answer.
+            threading.Timer(0.3, release.set).start()
+            assert transport.post("http://x", "next").body == "answer to next"
+            assert len(connects) == 2
+            # Once done, the abandoned post closes its connection rather
+            # than keeping it: the next post reuses the one "next" kept.
+            assert finished.wait(10.0)
+            abandoned, kept = connects
+            assert transport.post("http://x", "last").body == "answer to last"
+            assert len(connects) == 2
+            assert abandoned.fileno() == -1
+            assert kept.fileno() != -1
+        finally:
+            release.set()
+            transport.close()
+        assert not _wire_threads()
+
+    def test_cell_transport_close_removes_only_its_endpoints(self):
+        server, client = WireServer(), WireClient()
+        try:
+            first = WireTransport(server=server, client=client)
+            second = WireTransport(server=server, client=client)
+            first.register("http://a", lambda body, headers: "a")
+            second.register("http://b", lambda body, headers: "b")
+            first.close()
+            with pytest.raises(ConnectionRefused):
+                first.post("http://a", "ping")
+            assert second.post("http://a", "ping").status == 404
+            assert second.post("http://b", "ping").body == "b"
+            assert server.running
+        finally:
+            client.close()
+            server.stop()
         assert not _wire_threads()
