@@ -28,7 +28,9 @@ def test_invoke_sweep(benchmark):
 
     rows = []
     for payload_class in result.payload_classes:
-        cells = result.by_class(payload_class).values()
+        cells = [
+            cell for key, cell in result.cells.items() if key[2] == payload_class
+        ]
         rows.append(
             (
                 payload_class,

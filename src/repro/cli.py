@@ -426,16 +426,11 @@ def _report_invoke(result, args):
 
 
 def _report_lifecycle(result, args):
-    rows = [
-        (server_id, client_id) + result.cell(server_id, client_id).as_row()
-        for server_id in result.server_ids
-        for client_id in result.client_ids
-    ]
     print("\n\n".join((
         render_table(
             ("Server", "Client", "GenErr", "CompErr", "CommErr", "ExecErr",
              "Done"),
-            rows,
+            result.rows(),
             title="Five-step lifecycle outcomes",
         ),
         _totals(result),

@@ -1,18 +1,18 @@
 """Canonical cell matrices: one comparable shape for all four sweeps.
 
-The run, resilience, fuzz and invocation campaigns each aggregate into
-their own result class with their own cell granularity.  Regression
-gating needs to compare any of them against an accepted baseline
-*cell-by-cell*, so this module canonicalizes every result into the same
-shape::
+The run, resilience, fuzz and invocation campaigns each have their own
+cell coordinates and counters.  Regression gating needs to compare any
+of them against an accepted baseline *cell-by-cell*, so this module
+canonicalizes every result into the same shape::
 
     {"server|client|...": {"status": "pass" | "fail" | "quarantined",
                            "metrics": {name: int, ...}}}
 
 The canonical form is pure data: string keys in the sweep's own cell
-coordinates, integer counters, and a three-valued verdict derived from
-the counters.  Quarantined cells keep an explicit status rather than
-vanishing — a poisoned cell that later heals must show up as drift.
+coordinates, integer counters, and a three-valued verdict each cell
+derives from its counters (:meth:`repro.core.cells.Counters.status`).
+Quarantined cells keep an explicit status rather than vanishing — a
+poisoned cell that later heals must show up as drift.
 
 Nothing timing-related enters the canonical form, so two byte-identical
 sweeps canonicalize to byte-identical matrices for any worker count.
@@ -55,83 +55,6 @@ def _cell(status, metrics):
     return {"status": status, "metrics": {k: int(v) for k, v in metrics.items()}}
 
 
-def _run_cells(result):
-    cells = {}
-    for (server_id, client_id), stats in result.cells.items():
-        failing = stats.gen_error_tests + stats.comp_error_tests
-        cells[f"{server_id}|{client_id}"] = _cell(
-            STATUS_FAIL if failing else STATUS_PASS,
-            {
-                "tests": stats.tests,
-                "gen_warning_tests": stats.gen_warning_tests,
-                "gen_error_tests": stats.gen_error_tests,
-                "comp_warning_tests": stats.comp_warning_tests,
-                "comp_error_tests": stats.comp_error_tests,
-            },
-        )
-    return cells
-
-
-_RESILIENCE_ERROR_FIELDS = (
-    "generation_errors", "compilation_errors",
-    "communication_errors", "execution_errors",
-)
-
-
-def _resilience_cells(result):
-    cells = {}
-    for key, stats in result.cells.items():
-        metrics = stats.to_obj()
-        failing = sum(metrics[field] for field in _RESILIENCE_ERROR_FIELDS)
-        cells["|".join(key)] = _cell(
-            STATUS_FAIL if failing else STATUS_PASS, metrics
-        )
-    return cells
-
-
-_FUZZ_FATAL_FIELDS = (
-    "parser_crash", "resource_blowup", "timeout", "tool_internal",
-)
-
-
-def _fuzz_cells(result):
-    cells = {}
-    for key, stats in result.cells.items():
-        metrics = stats.to_obj()
-        if sum(metrics[field] for field in _FUZZ_FATAL_FIELDS):
-            status = STATUS_FAIL
-        elif metrics["quarantined"]:
-            status = STATUS_QUARANTINED
-        else:
-            status = STATUS_PASS
-        cells["|".join(key)] = _cell(status, metrics)
-    return cells
-
-
-_INVOKE_FAIL_FIELDS = ("corrupted", "fault", "client_reject", "unclassified")
-
-
-def _invoke_cells(result):
-    cells = {}
-    for key, stats in result.cells.items():
-        metrics = stats.to_obj()
-        if sum(metrics[field] for field in _INVOKE_FAIL_FIELDS):
-            status = STATUS_FAIL
-        elif metrics["quarantined"]:
-            status = STATUS_QUARANTINED
-        else:
-            status = STATUS_PASS
-        cells["|".join(key)] = _cell(status, metrics)
-    return cells
-
-
-_CANONICALIZERS = {
-    "run": _run_cells,
-    "resilience": _resilience_cells,
-    "fuzz": _fuzz_cells,
-    "invoke": _invoke_cells,
-}
-
 #: The counter a seeded self-test perturbation bumps, per campaign kind.
 FAILURE_METRIC = {
     "run": "gen_error_tests",
@@ -142,7 +65,7 @@ FAILURE_METRIC = {
 
 
 def require_kind(kind):
-    if kind not in _CANONICALIZERS:
+    if kind not in CAMPAIGN_KINDS:
         raise ValueError(
             f"unknown campaign kind {kind!r}; expected one of {CAMPAIGN_KINDS}"
         )
@@ -150,8 +73,16 @@ def require_kind(kind):
 
 
 def canonical_matrix(kind, result):
-    """The canonical cell map of ``result`` for campaign ``kind``."""
-    return _CANONICALIZERS[require_kind(kind)](result)
+    """The canonical cell map of ``result`` for campaign ``kind``.
+
+    Each cell (a :class:`~repro.core.cells.Counters`) gives its own
+    status, from its kind's ``FAIL_FIELDS``, and its counters.
+    """
+    require_kind(kind)
+    return {
+        "|".join(key): _cell(cell.status(), cell.to_obj())
+        for key, cell in result.cells.items()
+    }
 
 
 def canonical_totals(kind, result):

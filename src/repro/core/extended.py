@@ -13,10 +13,11 @@ sampled sweeps.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.appservers import container_for
 from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.cells import CellMatrix, Counters, cells_to_obj
 from repro.core.outcomes import StepStatus
 from repro.core.sharding import (
     CAMPAIGN_LIFECYCLE,
@@ -40,25 +41,34 @@ class LifecycleCampaignConfig:
     sample_per_server: int = None
 
     def fingerprint(self):
-        """Stable identity used to guard checkpoint compatibility."""
+        """Stable identity used to guard checkpoint compatibility.
+
+        ``cells`` names the unit payload's cell keys: a checkpoint whose
+        payloads key cells by client alone is refused, not misread.
+        """
         return {
             "campaign": "lifecycle",
             "servers": list(self.base.server_ids),
             "clients": list(self.base.client_ids),
             "sample": self.sample_per_server,
+            "cells": "server|client",
         }
 
 
 @dataclass
-class LifecycleCellStats:
-    """Per (server, client) cell of the extended campaign."""
+class LifecycleCellStats(Counters):
+    """Per (server, client) cell of the extended campaign.
 
-    tests: int = 0
+    ``tests`` comes last: the ``lifecycle-campaign`` totals print it
+    last.
+    """
+
     generation_errors: int = 0
     compilation_errors: int = 0
     communication_errors: int = 0
     execution_errors: int = 0
     completed: int = 0  # reached execution successfully
+    tests: int = 0
 
     def add(self, outcome):
         self.tests += 1
@@ -88,13 +98,18 @@ class LifecycleCellStats:
 
 
 @dataclass
-class LifecycleCampaignResult:
+class LifecycleCampaignResult(CellMatrix):
     """Aggregate result of one extended campaign run."""
 
-    cells: dict = field(default_factory=dict)
-    server_ids: tuple = ()
-    client_ids: tuple = ()
-    services_per_server: dict = field(default_factory=dict)
+    CELL = LifecycleCellStats
+    KIND = "lifecycle"
+
+    @classmethod
+    def empty(cls, lconfig):
+        return cls(
+            server_ids=tuple(lconfig.base.server_ids),
+            client_ids=tuple(lconfig.base.client_ids),
+        )
 
     def cell(self, server_id, client_id):
         return self.cells[(server_id, client_id)]
@@ -103,41 +118,12 @@ class LifecycleCampaignResult:
     def tests_executed(self):
         return sum(cell.tests for cell in self.cells.values())
 
-    def totals(self):
-        keys = (
-            "generation_errors",
-            "compilation_errors",
-            "communication_errors",
-            "execution_errors",
-            "completed",
-        )
-        totals = dict.fromkeys(keys, 0)
-        for cell in self.cells.values():
-            for key in keys:
-                totals[key] += getattr(cell, key)
-        totals["tests"] = self.tests_executed
-        return totals
-
     def completion_ratio(self):
         """Fraction of tests that complete all five steps."""
         tests = self.tests_executed
         if not tests:
             return 0.0
         return self.totals()["completed"] / tests
-
-
-def merge_lifecycle(lconfig, ordered):
-    """Fold lifecycle unit payloads, in canonical order, into a result."""
-    result = LifecycleCampaignResult(
-        server_ids=tuple(lconfig.base.server_ids),
-        client_ids=tuple(lconfig.base.client_ids),
-    )
-    for unit, data in ordered:
-        result.services_per_server[unit.server_id] = data["services"]
-        for client_id, cell in data["cells"].items():
-            key = (unit.server_id, client_id)
-            result.cells[key] = LifecycleCellStats(**cell)
-    return result
 
 
 class LifecycleCampaign:
@@ -164,8 +150,7 @@ class LifecycleCampaign:
         #: deployment draws from.
         self.base_campaign = Campaign(self.config)
 
-    #: Folds unit payloads into a ``LifecycleCampaignResult``.
-    merge = staticmethod(merge_lifecycle)
+    merge = LifecycleCampaignResult.merge
 
     def _clients(self):
         """The selected client frameworks, in registry order."""
@@ -204,17 +189,14 @@ class LifecycleCampaign:
             for record in selected:
                 transport = InMemoryHttpTransport()
                 for client_id, client in clients.items():
-                    cell = cells.setdefault(client_id, LifecycleCellStats())
+                    cell = cells.setdefault(
+                        (unit.server_id, client_id), LifecycleCellStats()
+                    )
                     cell.add(run_full_lifecycle(
                         record, client, client_id=client_id,
                         transport=transport, reads=reads,
                     ))
-        return {
-            "services": len(selected),
-            "cells": {
-                client_id: asdict(cell) for client_id, cell in cells.items()
-            },
-        }
+        return {"services": len(selected), "cells": cells_to_obj(cells)}
 
     def _deploy_sample(self, server_id):
         """Deploy ``server_id``'s corpus under a ``deploy`` span; the

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.core.cells import Counters
+
 
 @dataclass
-class CellStats:
+class CellStats(Counters):
     """One Table III cell: a (server, client) combination.
 
     Counts are *tests*, matching the paper's accounting: a test with two
     generation errors contributes one to ``gen_error_tests``; a test with
     both a warning and an error contributes to both columns (JScript's
-    per-run warnings behave exactly like that).
+    per-run warnings behave exactly like that).  A cell with an error
+    test fails.
     """
+
+    FAIL_FIELDS = ("gen_error_tests", "comp_error_tests")
 
     gen_warning_tests: int = 0
     gen_error_tests: int = 0

@@ -23,9 +23,10 @@ configuration.  This module owns that contract:
 
 * **Merging.**  Unit payloads are folded back into a campaign result
   **in canonical shard order**, regardless of the order in which
-  workers completed them.  Each kind's merge lives next to its result
-  type and reads a payload either as the object a unit returned or as
-  its JSON form read back from a checkpoint.
+  workers completed them.  The sampled kinds share one merge
+  (:meth:`repro.core.cells.CellMatrix.merge`) and ``run`` has its own;
+  each reads a payload either as the object a unit returned or as its
+  JSON form read back from a checkpoint.
 """
 
 from __future__ import annotations

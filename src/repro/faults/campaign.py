@@ -24,9 +24,10 @@ every server so an interrupted run resumes to the identical result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.core.campaign import CampaignConfig
+from repro.core.cells import CellMatrix, Counters, cells_to_obj
 from repro.core.extended import LifecycleCampaign
 from repro.core.outcomes import StepStatus
 from repro.core.sharding import CAMPAIGN_FUZZ, CAMPAIGN_RESILIENCE, ShardJob
@@ -46,8 +47,6 @@ from repro.runtime import (
 from repro.runtime.lifecycle import SharedReads, guarded_read
 from repro.runtime.wire import transport_factory_for, unit_transports
 from repro.runtime.guard import GuardedStep, GuardLimits, TriageBucket
-
-_RESULT_FORMAT = 1
 
 #: Default rate sweep: a light drizzle and a heavy storm.
 DEFAULT_RATES = (0.15, 0.35)
@@ -97,8 +96,13 @@ class ResilienceCampaignConfig:
 
 
 @dataclass
-class ResilienceCellStats:
+class ResilienceCellStats(Counters):
     """One matrix cell: a (server, client, fault kind, rate) combination."""
+
+    FAIL_FIELDS = (
+        "generation_errors", "compilation_errors",
+        "communication_errors", "execution_errors",
+    )
 
     tests: int = 0
     generation_errors: int = 0
@@ -133,11 +137,6 @@ class ResilienceCellStats:
         """Fraction of tests that completed the whole lifecycle."""
         return self.completed / self.tests if self.tests else 0.0
 
-    @property
-    def recovery_rate(self):
-        """Fraction of completions owed to the retry policy."""
-        return self.recovered / self.completed if self.completed else 0.0
-
     def as_row(self):
         return (
             self.tests,
@@ -149,45 +148,37 @@ class ResilienceCellStats:
             f"{self.survival_rate:.2f}",
         )
 
-    def to_obj(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(**obj)
-
 
 def _cell_key(server_id, client_id, kind, rate):
     return (server_id, client_id, fault_kind_of(kind).value, repr(float(rate)))
 
 
 @dataclass
-class ResilienceCampaignResult:
+class ResilienceCampaignResult(CellMatrix):
     """Aggregate result of one resilience sweep."""
 
-    server_ids: tuple = ()
-    client_ids: tuple = ()
     fault_kinds: tuple = ()  # FaultKind values (strings)
     rates: tuple = ()  # repr'd floats, in sweep order
-    seed: int = 0
-    cells: dict = field(default_factory=dict)
-    services_per_server: dict = field(default_factory=dict)
 
-    def cell(self, server_id, client_id, kind, rate):
-        return self.cells[_cell_key(server_id, client_id, kind, rate)]
+    CELL = ResilienceCellStats
+    AXES = ("fault_kinds", "rates")
+    KIND = "resilience"
+
+    @classmethod
+    def empty(cls, rconfig):
+        return cls(
+            server_ids=tuple(rconfig.base.server_ids),
+            client_ids=tuple(rconfig.base.client_ids),
+            fault_kinds=tuple(
+                fault_kind_of(kind).value for kind in rconfig.fault_kinds
+            ),
+            rates=tuple(repr(float(rate)) for rate in rconfig.rates),
+            seed=rconfig.seed,
+        )
 
     @property
     def tests_executed(self):
         return sum(cell.tests for cell in self.cells.values())
-
-    def by_fault_kind(self, kind):
-        """All cells of one fault kind: (server, client, rate) → stats."""
-        kind = fault_kind_of(kind).value
-        return {
-            (server, client, rate): cell
-            for (server, client, cell_kind, rate), cell in self.cells.items()
-            if cell_kind == kind
-        }
 
     def client_survival(self, kind, rate):
         """Per-client survival rate across servers for one fault config."""
@@ -207,77 +198,9 @@ class ResilienceCampaignResult:
             out[client_id] = completed / tests if tests else 0.0
         return out
 
-    def totals(self):
-        keys = (
-            "tests",
-            "generation_errors",
-            "compilation_errors",
-            "communication_errors",
-            "execution_errors",
-            "completed",
-            "recovered",
-            "faults_injected",
-            "retries",
-            "breaker_trips",
-        )
-        totals = dict.fromkeys(keys, 0)
-        for cell in self.cells.values():
-            for key in keys:
-                totals[key] += getattr(cell, key)
-        return totals
 
-
-def resilience_result_to_obj(result):
-    """JSON-compatible dict for a :class:`ResilienceCampaignResult`."""
-    return {
-        "format": _RESULT_FORMAT,
-        "seed": result.seed,
-        "server_ids": list(result.server_ids),
-        "client_ids": list(result.client_ids),
-        "fault_kinds": list(result.fault_kinds),
-        "rates": list(result.rates),
-        "services_per_server": dict(result.services_per_server),
-        "cells": {
-            "|".join(key): cell.to_obj() for key, cell in result.cells.items()
-        },
-    }
-
-
-def resilience_result_from_obj(obj):
-    """Rebuild a result from :func:`resilience_result_to_obj` output."""
-    if obj.get("format") != _RESULT_FORMAT:
-        raise ValueError(f"unsupported resilience format: {obj.get('format')!r}")
-    result = ResilienceCampaignResult(
-        server_ids=tuple(obj["server_ids"]),
-        client_ids=tuple(obj["client_ids"]),
-        fault_kinds=tuple(obj["fault_kinds"]),
-        rates=tuple(obj["rates"]),
-        seed=obj["seed"],
-        services_per_server=dict(obj["services_per_server"]),
-    )
-    for key, cell in obj["cells"].items():
-        result.cells[tuple(key.split("|"))] = ResilienceCellStats.from_obj(cell)
-    return result
-
-
-def merge_resilience(rconfig, ordered):
-    """Fold resilience unit payloads, in canonical order, into a result."""
-    result = ResilienceCampaignResult(
-        server_ids=tuple(rconfig.base.server_ids),
-        client_ids=tuple(rconfig.base.client_ids),
-        fault_kinds=tuple(
-            fault_kind_of(kind).value for kind in rconfig.fault_kinds
-        ),
-        rates=tuple(repr(float(rate)) for rate in rconfig.rates),
-        seed=rconfig.seed,
-    )
-    for unit, data in ordered:
-        result.services_per_server[unit.server_id] = data["services"]
-        for key, cell in data["cells"].items():
-            result.cells[tuple(key.split("|"))] = (
-                ResilienceCellStats.from_obj(cell)
-            )
-    return result
+resilience_result_to_obj = ResilienceCampaignResult.to_obj
+resilience_result_from_obj = ResilienceCampaignResult.from_obj
 
 
 class ResilienceCampaign(LifecycleCampaign):
@@ -306,8 +229,7 @@ class ResilienceCampaign(LifecycleCampaign):
             sample_per_server=self.rconfig.sample_per_server,
         )
 
-    #: Folds unit payloads into a ``ResilienceCampaignResult``.
-    merge = staticmethod(merge_resilience)
+    merge = ResilienceCampaignResult.merge
 
     def shard_job(self):
         """This sweep as a :class:`~repro.core.sharding.ShardJob`.
@@ -354,12 +276,7 @@ class ResilienceCampaign(LifecycleCampaign):
                                 tests=cell.tests, completed=cell.completed,
                                 retries=cell.retries,
                             )
-        return {
-            "services": len(selected),
-            "cells": {
-                "|".join(key): cell.to_obj() for key, cell in cells.items()
-            },
-        }
+        return {"services": len(selected), "cells": cells_to_obj(cells)}
 
     def _run_cell(self, cell, server_id, client_id, client, kind, rate,
                   selected, new_transport, reads):
@@ -411,8 +328,6 @@ class ResilienceCampaign(LifecycleCampaign):
 
 # -- WSDL corruption fuzzing -------------------------------------------------
 
-_FUZZ_FORMAT = 1
-
 #: Default intensity sweep: a scuffed document and a hostile one.
 DEFAULT_INTENSITIES = (0.3, 0.8)
 
@@ -458,8 +373,10 @@ class FuzzCampaignConfig:
 
 
 @dataclass
-class FuzzCellStats:
+class FuzzCellStats(Counters):
     """One triage-matrix cell: (server, client, mutation kind, intensity)."""
+
+    FAIL_FIELDS = ("parser_crash", "resource_blowup", "timeout", "tool_internal")
 
     mutants: int = 0
     #: The whole guarded pipeline ran clean (the tool ate the mutant).
@@ -496,16 +413,6 @@ class FuzzCellStats:
         self.mutants += 1
         self.quarantined += 1
 
-    @property
-    def classified(self):
-        """Mutants that landed in a classified cell (all but internal)."""
-        return self.mutants - self.tool_internal
-
-    @property
-    def totality_rate(self):
-        """Fraction of mutants the harness classified — the invariant."""
-        return self.classified / self.mutants if self.mutants else 1.0
-
     def as_row(self):
         return (
             self.mutants,
@@ -518,16 +425,6 @@ class FuzzCellStats:
             self.quarantined,
         )
 
-    def to_obj(self):
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-        }
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(**obj)
-
 
 def _fuzz_cell_key(server_id, client_id, kind, intensity):
     return (
@@ -536,23 +433,31 @@ def _fuzz_cell_key(server_id, client_id, kind, intensity):
 
 
 @dataclass
-class FuzzCampaignResult:
+class FuzzCampaignResult(CellMatrix):
     """Aggregate result of one corruption-fuzz sweep."""
 
-    server_ids: tuple = ()
-    client_ids: tuple = ()
     mutation_kinds: tuple = ()  # MutationKind values (strings)
     intensities: tuple = ()  # repr'd floats, in sweep order
-    seed: int = 0
-    cells: dict = field(default_factory=dict)
-    services_per_server: dict = field(default_factory=dict)
-    #: Sorted (server, service, client, bucket, detail) poison records.
-    quarantine: list = field(default_factory=list)
     #: True when ``fail_fast`` stopped the sweep early.
     aborted: bool = False
+    #: Sorted (server, service, client, bucket, detail) poison records.
+    quarantine: list = field(default_factory=list)
 
-    def cell(self, server_id, client_id, kind, intensity):
-        return self.cells[_fuzz_cell_key(server_id, client_id, kind, intensity)]
+    CELL = FuzzCellStats
+    AXES = ("mutation_kinds", "intensities")
+    KIND = "fuzz"
+
+    @classmethod
+    def empty(cls, fconfig):
+        return cls(
+            server_ids=tuple(fconfig.base.server_ids),
+            client_ids=tuple(fconfig.base.client_ids),
+            mutation_kinds=tuple(
+                MutationKind(kind).value for kind in fconfig.mutation_kinds
+            ),
+            intensities=tuple(repr(float(i)) for i in fconfig.intensities),
+            seed=fconfig.seed,
+        )
 
     @property
     def mutants_executed(self):
@@ -563,98 +468,9 @@ class FuzzCampaignResult:
         """Tool-internal hits across the matrix; must be zero."""
         return sum(cell.tool_internal for cell in self.cells.values())
 
-    def by_kind(self, kind):
-        """All cells of one mutation kind: (server, client, intensity)."""
-        kind = MutationKind(kind).value
-        return {
-            (server, client, intensity): cell
-            for (server, client, cell_kind, intensity), cell
-            in self.cells.items()
-            if cell_kind == kind
-        }
 
-    def totals(self):
-        keys = (
-            "mutants",
-            "survived",
-            "rejected",
-            "parser_crash",
-            "resource_blowup",
-            "timeout",
-            "tool_internal",
-            "quarantined",
-        )
-        totals = dict.fromkeys(keys, 0)
-        for cell in self.cells.values():
-            for key in keys:
-                totals[key] += getattr(cell, key)
-        return totals
-
-
-def fuzz_result_to_obj(result):
-    """JSON-compatible dict for a :class:`FuzzCampaignResult`."""
-    return {
-        "format": _FUZZ_FORMAT,
-        "seed": result.seed,
-        "server_ids": list(result.server_ids),
-        "client_ids": list(result.client_ids),
-        "mutation_kinds": list(result.mutation_kinds),
-        "intensities": list(result.intensities),
-        "services_per_server": dict(result.services_per_server),
-        "aborted": result.aborted,
-        "quarantine": [list(entry) for entry in result.quarantine],
-        "cells": {
-            "|".join(key): cell.to_obj() for key, cell in result.cells.items()
-        },
-    }
-
-
-def fuzz_result_from_obj(obj):
-    """Rebuild a result from :func:`fuzz_result_to_obj` output."""
-    if obj.get("format") != _FUZZ_FORMAT:
-        raise ValueError(f"unsupported fuzz format: {obj.get('format')!r}")
-    result = FuzzCampaignResult(
-        server_ids=tuple(obj["server_ids"]),
-        client_ids=tuple(obj["client_ids"]),
-        mutation_kinds=tuple(obj["mutation_kinds"]),
-        intensities=tuple(obj["intensities"]),
-        seed=obj["seed"],
-        services_per_server=dict(obj["services_per_server"]),
-        quarantine=[tuple(entry) for entry in obj["quarantine"]],
-        aborted=obj["aborted"],
-    )
-    for key, cell in obj["cells"].items():
-        result.cells[tuple(key.split("|"))] = FuzzCellStats.from_obj(cell)
-    return result
-
-
-def merge_fuzz(fconfig, ordered):
-    """Fold fuzz unit payloads, in canonical order, into a result.
-
-    A unit aborted by ``fail_fast`` ends the fold: the sweep stops
-    there, so later units are neither merged nor — in-process — run.
-    """
-    result = FuzzCampaignResult(
-        server_ids=tuple(fconfig.base.server_ids),
-        client_ids=tuple(fconfig.base.client_ids),
-        mutation_kinds=tuple(
-            MutationKind(kind).value for kind in fconfig.mutation_kinds
-        ),
-        intensities=tuple(repr(float(i)) for i in fconfig.intensities),
-        seed=fconfig.seed,
-    )
-    registry = QuarantineRegistry()
-    for unit, data in ordered:
-        result.services_per_server[unit.server_id] = data["services"]
-        for key, cell in data["cells"].items():
-            result.cells[tuple(key.split("|"))] = FuzzCellStats.from_obj(cell)
-        for entry in data["quarantine"]:
-            registry.poison(*entry)
-        if not data["finished"]:
-            result.aborted = True
-            break
-    result.quarantine = registry.entries()
-    return result
+fuzz_result_to_obj = FuzzCampaignResult.to_obj
+fuzz_result_from_obj = FuzzCampaignResult.from_obj
 
 
 class FuzzCampaign(LifecycleCampaign):
@@ -677,8 +493,7 @@ class FuzzCampaign(LifecycleCampaign):
             sample_per_server=self.fconfig.sample_per_server,
         )
 
-    #: Folds unit payloads into a ``FuzzCampaignResult``.
-    merge = staticmethod(merge_fuzz)
+    merge = FuzzCampaignResult.merge
 
     def shard_job(self):
         """This sweep as a :class:`~repro.core.sharding.ShardJob`.
@@ -707,9 +522,7 @@ class FuzzCampaign(LifecycleCampaign):
                 server_span.annotate(aborted=True)
         return {
             "services": len(selected),
-            "cells": {
-                "|".join(key): cell.to_obj() for key, cell in cells.items()
-            },
+            "cells": cells_to_obj(cells),
             "quarantine": [list(entry) for entry in quarantine.entries()],
             "finished": finished,
         }

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from fnmatch import fnmatch
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.core.campaign import CampaignConfig
+from repro.core.cells import CellMatrix, Counters, cells_to_obj
 from repro.core.extended import LifecycleCampaign
 from repro.core.sharding import CAMPAIGN_INVOKE, ShardJob
 from repro.core.store import QuarantineRegistry
@@ -41,8 +42,6 @@ from repro.runtime import InMemoryHttpTransport, close_transport
 from repro.runtime.guard import GuardLimits, GuardedStep
 from repro.runtime.lifecycle import SharedReads, prepare_client_proxy
 from repro.runtime.wire import transport_factory_for, unit_transports
-
-_INVOKE_FORMAT = 1
 
 
 @dataclass
@@ -82,7 +81,7 @@ class InvocationCampaignConfig:
 
 
 @dataclass
-class InvocationCellStats:
+class InvocationCellStats(Counters):
     """One fidelity-matrix cell: (server, client, payload class).
 
     The five fidelity counters plus ``quarantined`` partition
@@ -107,6 +106,8 @@ class InvocationCellStats:
     #: triage to COERCED, so the overlay never hides in a clean cell.
     schema_violations: int = 0
 
+    FAIL_FIELDS = ("corrupted", "fault", "client_reject", "unclassified")
+
     _FIDELITY_FIELDS = {
         Fidelity.LOSSLESS: "lossless",
         Fidelity.COERCED: "coerced",
@@ -126,11 +127,6 @@ class InvocationCellStats:
         self.payloads += 1
         self.quarantined += 1
 
-    @property
-    def lossless_rate(self):
-        executed = self.payloads - self.quarantined
-        return self.lossless / executed if executed else 1.0
-
     def as_row(self):
         return (
             self.payloads,
@@ -141,13 +137,6 @@ class InvocationCellStats:
             self.client_reject,
             self.quarantined,
         )
-
-    def to_obj(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(**obj)
 
 
 def _invoke_cell_key(server_id, client_id, payload_class):
@@ -161,22 +150,29 @@ def _quarantine_client(client_id, payload_class):
 
 
 @dataclass
-class InvocationCampaignResult:
+class InvocationCampaignResult(CellMatrix):
     """Aggregate result of one invocation sweep."""
 
-    server_ids: tuple = ()
-    client_ids: tuple = ()
     payload_classes: tuple = ()  # PayloadClass values (strings)
-    seed: int = 0
-    cells: dict = field(default_factory=dict)
-    services_per_server: dict = field(default_factory=dict)
     #: Per "server|client" pair: services seen, proxies built, gates failed.
     gates: dict = field(default_factory=dict)
     #: Sorted (server, service, client:class, bucket, detail) records.
     quarantine: list = field(default_factory=list)
 
-    def cell(self, server_id, client_id, payload_class):
-        return self.cells[_invoke_cell_key(server_id, client_id, payload_class)]
+    CELL = InvocationCellStats
+    AXES = ("payload_classes",)
+    KIND = "invoke"
+
+    @classmethod
+    def empty(cls, iconfig):
+        return cls(
+            server_ids=tuple(iconfig.base.server_ids),
+            client_ids=tuple(iconfig.base.client_ids),
+            payload_classes=tuple(
+                PayloadClass(value).value for value in iconfig.payload_classes
+            ),
+            seed=iconfig.seed,
+        )
 
     @property
     def payloads_executed(self):
@@ -191,92 +187,9 @@ class InvocationCampaignResult:
     def services_matched(self):
         return sum(self.services_per_server.values())
 
-    def by_class(self, payload_class):
-        """All cells of one payload class: (server, client) → stats."""
-        value = PayloadClass(payload_class).value
-        return {
-            (server, client): cell
-            for (server, client, cls), cell in self.cells.items()
-            if cls == value
-        }
 
-    def totals(self):
-        keys = (
-            "payloads",
-            "lossless",
-            "coerced",
-            "corrupted",
-            "fault",
-            "client_reject",
-            "quarantined",
-            "unclassified",
-            "schema_violations",
-        )
-        totals = dict.fromkeys(keys, 0)
-        for cell in self.cells.values():
-            for key in keys:
-                totals[key] += getattr(cell, key)
-        return totals
-
-
-def invoke_result_to_obj(result):
-    """JSON-compatible dict for an :class:`InvocationCampaignResult`."""
-    return {
-        "format": _INVOKE_FORMAT,
-        "seed": result.seed,
-        "server_ids": list(result.server_ids),
-        "client_ids": list(result.client_ids),
-        "payload_classes": list(result.payload_classes),
-        "services_per_server": dict(result.services_per_server),
-        "gates": {key: dict(value) for key, value in result.gates.items()},
-        "quarantine": [list(entry) for entry in result.quarantine],
-        "cells": {
-            "|".join(key): cell.to_obj() for key, cell in result.cells.items()
-        },
-    }
-
-
-def invoke_result_from_obj(obj):
-    """Rebuild a result from :func:`invoke_result_to_obj` output."""
-    if obj.get("format") != _INVOKE_FORMAT:
-        raise ValueError(f"unsupported invoke format: {obj.get('format')!r}")
-    result = InvocationCampaignResult(
-        server_ids=tuple(obj["server_ids"]),
-        client_ids=tuple(obj["client_ids"]),
-        payload_classes=tuple(obj["payload_classes"]),
-        seed=obj["seed"],
-        services_per_server=dict(obj["services_per_server"]),
-        gates={key: dict(value) for key, value in obj["gates"].items()},
-        quarantine=[tuple(entry) for entry in obj["quarantine"]],
-    )
-    for key, cell in obj["cells"].items():
-        result.cells[tuple(key.split("|"))] = InvocationCellStats.from_obj(cell)
-    return result
-
-
-def merge_invoke(iconfig, ordered):
-    """Fold invocation unit payloads, in canonical order, into a result."""
-    result = InvocationCampaignResult(
-        server_ids=tuple(iconfig.base.server_ids),
-        client_ids=tuple(iconfig.base.client_ids),
-        payload_classes=tuple(
-            PayloadClass(cls).value for cls in iconfig.payload_classes
-        ),
-        seed=iconfig.seed,
-    )
-    registry = QuarantineRegistry()
-    for unit, data in ordered:
-        result.services_per_server[unit.server_id] = data["services"]
-        for key, value in data["gates"].items():
-            result.gates[key] = dict(value)
-        for key, cell in data["cells"].items():
-            result.cells[tuple(key.split("|"))] = (
-                InvocationCellStats.from_obj(cell)
-            )
-        for entry in data["quarantine"]:
-            registry.poison(*entry)
-    result.quarantine = registry.entries()
-    return result
+invoke_result_to_obj = InvocationCampaignResult.to_obj
+invoke_result_from_obj = InvocationCampaignResult.from_obj
 
 
 class InvocationCampaign(LifecycleCampaign):
@@ -316,8 +229,7 @@ class InvocationCampaign(LifecycleCampaign):
             payloads_per_class=iconfig.payloads_per_class,
         )
 
-    #: Folds unit payloads into an ``InvocationCampaignResult``.
-    merge = staticmethod(merge_invoke)
+    merge = InvocationCampaignResult.merge
 
     def run(self, progress=None, checkpoint=None):
         """Execute the sweep in-process; see :meth:`Campaign.run`."""
@@ -464,8 +376,6 @@ class InvocationCampaign(LifecycleCampaign):
         return {
             "services": len(selected),
             "gates": gates,
-            "cells": {
-                "|".join(key): cell.to_obj() for key, cell in cells.items()
-            },
+            "cells": cells_to_obj(cells),
             "quarantine": [list(entry) for entry in quarantine.entries()],
         }

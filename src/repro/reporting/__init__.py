@@ -9,7 +9,6 @@ from repro.reporting.experiments import render_experiments_markdown
 from repro.reporting.export import result_to_json, table3_to_csv
 from repro.reporting.figures import render_fig4
 from repro.reporting.fuzz import (
-    fuzz_matrix_rows,
     fuzz_to_json,
     render_fuzz_matrix,
     render_quarantine,
@@ -17,7 +16,6 @@ from repro.reporting.fuzz import (
 )
 from repro.reporting.html import render_html_report
 from repro.reporting.invoke import (
-    invoke_matrix_rows,
     invoke_to_json,
     render_fidelity_summary,
     render_gate_summary,
@@ -52,7 +50,6 @@ from repro.reporting.regress import (
 from repro.reporting.resilience import (
     render_client_robustness,
     render_resilience_matrix,
-    resilience_matrix_rows,
     resilience_to_json,
 )
 from repro.reporting.supervision import (
@@ -71,9 +68,7 @@ from repro.reporting.tables import (
 __all__ = [
     "comparison_rows",
     "fig4_comparison",
-    "fuzz_matrix_rows",
     "fuzz_to_json",
-    "invoke_matrix_rows",
     "invoke_to_json",
     "render_fidelity_summary",
     "render_gate_summary",
@@ -111,7 +106,6 @@ __all__ = [
     "supervision_to_json",
     "worker_utilization_rows",
     "render_table",
-    "resilience_matrix_rows",
     "resilience_to_json",
     "render_table3_latex",
     "render_table1",

@@ -7,28 +7,9 @@ import json
 from repro.reporting.tables import render_table
 
 
-def fuzz_matrix_rows(result):
-    """Flat rows in deterministic sweep order, one per matrix cell."""
-    rows = []
-    for server_id in result.server_ids:
-        for kind in result.mutation_kinds:
-            for intensity in result.intensities:
-                for client_id in result.client_ids:
-                    cell = result.cells.get(
-                        (server_id, client_id, kind, intensity)
-                    )
-                    if cell is None:
-                        continue
-                    rows.append(
-                        (server_id, client_id, kind, intensity)
-                        + cell.as_row()
-                    )
-    return rows
-
-
 def render_fuzz_matrix(result, only_failing=False):
     """The per-(server, client, kind, intensity) triage table."""
-    rows = fuzz_matrix_rows(result)
+    rows = result.rows()
     if only_failing:
         # Keep rows with anything beyond clean survive/reject verdicts.
         rows = [row for row in rows if any(row[7:])]
@@ -47,16 +28,7 @@ def render_triage_summary(result):
     """Per-client totals across the matrix, worst offenders first."""
     rows = []
     for client_id in result.client_ids:
-        totals = dict.fromkeys(
-            ("mutants", "survived", "rejected", "parser_crash",
-             "resource_blowup", "timeout", "tool_internal", "quarantined"),
-            0,
-        )
-        for (server, client, kind, intensity), cell in result.cells.items():
-            if client != client_id:
-                continue
-            for key in totals:
-                totals[key] += getattr(cell, key)
+        totals = result.totals(client_id)
         classified = totals["mutants"] - totals["tool_internal"]
         rate = classified / totals["mutants"] if totals["mutants"] else 1.0
         rows.append(
@@ -73,7 +45,8 @@ def render_triage_summary(result):
                 f"{rate:.3f}",
             )
         )
-    rows.sort(key=lambda row: (row[7], -row[1], row[0]))
+    # Most tool-internal (unclassified) mutants first.
+    rows.sort(key=lambda row: (-row[7], -row[1], row[0]))
     return render_table(
         (
             "Client", "Mutants", "Surv", "Rej", "Parse", "Resrc",

@@ -7,23 +7,6 @@ import json
 from repro.reporting.tables import render_table
 
 
-def invoke_matrix_rows(result):
-    """Flat rows in deterministic sweep order, one per matrix cell."""
-    rows = []
-    for server_id in result.server_ids:
-        for payload_class in result.payload_classes:
-            for client_id in result.client_ids:
-                cell = result.cells.get(
-                    (server_id, client_id, payload_class)
-                )
-                if cell is None:
-                    continue
-                rows.append(
-                    (server_id, client_id, payload_class) + cell.as_row()
-                )
-    return rows
-
-
 def render_invoke_matrix(result, only_failing=False):
     """The per-(server, client, payload class) fidelity table."""
     if not result.cells:
@@ -32,7 +15,7 @@ def render_invoke_matrix(result, only_failing=False):
             "invocation matrix: empty "
             f"({matched} services matched; nothing to invoke)"
         )
-    rows = invoke_matrix_rows(result)
+    rows = result.rows()
     if only_failing:
         # Keep rows with anything beyond lossless/coerced round trips.
         rows = [row for row in rows if any(row[6:])]
@@ -51,16 +34,7 @@ def render_fidelity_summary(result):
     """Per-client fidelity totals across the matrix, worst first."""
     rows = []
     for client_id in result.client_ids:
-        totals = dict.fromkeys(
-            ("payloads", "lossless", "coerced", "corrupted", "fault",
-             "client_reject", "quarantined", "unclassified"),
-            0,
-        )
-        for (server, client, payload_class), cell in result.cells.items():
-            if client != client_id:
-                continue
-            for key in totals:
-                totals[key] += getattr(cell, key)
+        totals = result.totals(client_id)
         executed = totals["payloads"] - totals["quarantined"]
         rate = totals["lossless"] / executed if executed else 1.0
         rows.append(
@@ -76,7 +50,8 @@ def render_fidelity_summary(result):
                 f"{rate:.3f}",
             )
         )
-    rows.sort(key=lambda row: (row[4], row[5], -row[1], row[0]))
+    # Most corrupted round trips first, then most faults.
+    rows.sort(key=lambda row: (-row[4], -row[5], -row[1], row[0]))
     return render_table(
         (
             "Client", "Payloads", "Lossless", "Coerce", "Corrupt",

@@ -7,27 +7,9 @@ import json
 from repro.reporting.tables import render_table
 
 
-def resilience_matrix_rows(result):
-    """Flat rows in deterministic sweep order, one per matrix cell."""
-    rows = []
-    for server_id in result.server_ids:
-        for kind in result.fault_kinds:
-            for rate in result.rates:
-                for client_id in result.client_ids:
-                    cell = result.cells.get(
-                        (server_id, client_id, kind, rate)
-                    )
-                    if cell is None:
-                        continue
-                    rows.append(
-                        (server_id, client_id, kind, rate) + cell.as_row()
-                    )
-    return rows
-
-
 def render_resilience_matrix(result, only_failing=False):
     """The per-(server, client, fault kind, rate) survival table."""
-    rows = resilience_matrix_rows(result)
+    rows = result.rows()
     if only_failing:
         # Keep rows where something went wrong or recovery kicked in.
         rows = [row for row in rows if row[-1] != "1.00" or row[8] > 0]
@@ -46,23 +28,19 @@ def render_client_robustness(result):
     rows = []
     for client_id in result.client_ids:
         worst = 1.0
-        total_tests = total_completed = total_recovered = 0
         for kind in result.fault_kinds:
             for rate in result.rates:
                 survival = result.client_survival(kind, rate)[client_id]
                 worst = min(worst, survival)
-        for (server, client, kind, rate), cell in result.cells.items():
-            if client == client_id:
-                total_tests += cell.tests
-                total_completed += cell.completed
-                total_recovered += cell.recovered
-        overall = total_completed / total_tests if total_tests else 0.0
+        totals = result.totals(client_id)
+        tests, completed = totals["tests"], totals["completed"]
+        overall = completed / tests if tests else 0.0
         rows.append(
             (
                 client_id,
-                total_tests,
-                total_completed,
-                total_recovered,
+                tests,
+                completed,
+                totals["recovered"],
                 f"{overall:.2f}",
                 f"{worst:.2f}",
             )
