@@ -605,18 +605,28 @@ def cmd_stats(args):
     return 0
 
 
-def _git_rev():
-    """Best-effort short git revision for the accept history; "" offline."""
+def _git_rev(directory=os.path.dirname(os.path.abspath(__file__))):
+    """Short git revision of the checkout holding ``directory`` (this
+    package by default, whatever the working directory), suffixed
+    ``-dirty`` when tracked files differ from it; "" outside a checkout.
+    """
     import subprocess
 
-    try:
+    def git(*args):
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "-C", directory, *args],
             capture_output=True, text=True, timeout=5.0,
         )
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        if not rev:
+            return ""
+        dirty = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.SubprocessError):
         return ""
-    return out.stdout.strip() if out.returncode == 0 else ""
+    return f"{rev}-dirty" if dirty else rev
 
 
 def cmd_regress(args):

@@ -39,35 +39,65 @@ def _self_ms(span, children):
     return max(span["ms"] - nested, 0.0)
 
 
-def critical_path(trace, max_depth=32):
-    """The most expensive root-to-leaf chain, as ordered hop dicts.
+#: Span names that measure one service's processing, coarsest first:
+#: the run campaign has one ``service`` span per service; resilience and
+#: fuzz sweeps measure a service once per (client, config) cell.
+_SERVICE_SPAN_NAMES = ("service", "lifecycle", "mutant")
 
-    Each hop carries ``{id, name, attrs, ms, self_ms, pct_of_root}``.
-    Ties break on trace order (first child wins), keeping the walk
-    stable when two children measured identical durations.
+
+def _chain(start, children, max_depth):
+    """Hops from ``start`` down into its most expensive child, then that
+    child's, for at most ``max_depth`` spans.
+
+    Each hop carries ``{id, name, attrs, ms, self_ms}``.  Ties break on
+    trace order (first child wins), keeping the walk stable when two
+    children measured identical durations.
     """
-    by_id, children = span_index(trace)
-    roots = children.get("", ())
-    if not roots:
-        return []
-    current = max(roots, key=lambda span: span["ms"])
-    root_ms = current["ms"] or 0.0
-    path = []
+    chain = []
+    current = start
     for _ in range(max_depth):
-        path.append({
+        chain.append({
             "id": current["id"],
             "name": current["name"],
             "attrs": dict(current["attrs"]),
             "ms": current["ms"],
             "self_ms": round(_self_ms(current, children), 3),
-            "pct_of_root": (
-                round(100.0 * current["ms"] / root_ms, 1) if root_ms else 0.0
-            ),
         })
         branches = children.get(current["id"])
         if not branches:
             break
         current = max(branches, key=lambda span: span["ms"])
+    return chain
+
+
+def _server_of(span, by_id):
+    """Walk parent edges up to the enclosing ``server`` span's server."""
+    seen = set()
+    current = span
+    while current is not None and current["id"] not in seen:
+        seen.add(current["id"])
+        if current["name"] == "server":
+            return current["attrs"].get("server", "?")
+        current = by_id.get(current["parent"])
+    return "?"
+
+
+def critical_path(trace, max_depth=32):
+    """The most expensive root-to-leaf chain, as ordered hop dicts.
+
+    Each hop is a :func:`_chain` hop plus ``pct_of_root``.
+    """
+    _, children = span_index(trace)
+    roots = children.get("", ())
+    if not roots:
+        return []
+    root = max(roots, key=lambda span: span["ms"])
+    root_ms = root["ms"] or 0.0
+    path = _chain(root, children, max_depth)
+    for hop in path:
+        hop["pct_of_root"] = (
+            round(100.0 * hop["ms"] / root_ms, 1) if root_ms else 0.0
+        )
     return path
 
 
@@ -82,60 +112,36 @@ def cell_critical_paths(trace, top=5, max_depth=16):
     """
     from repro.obs.trace import PAIR_SPAN_NAMES
 
-    by_id, children = span_index(trace)
+    _, children = span_index(trace)
     cell_names = set(PAIR_SPAN_NAMES) | {"cell"}
     cells = [
         span for span in trace["spans"] if span["name"] in cell_names
     ]
     cells.sort(key=lambda span: (-span["ms"], span["id"]))
-    out = []
-    for cell in cells[:top]:
-        chain = []
-        current = cell
-        for _ in range(max_depth):
-            chain.append({
-                "id": current["id"],
-                "name": current["name"],
-                "attrs": dict(current["attrs"]),
-                "ms": current["ms"],
-                "self_ms": round(_self_ms(current, children), 3),
-            })
-            branches = children.get(current["id"])
-            if not branches:
-                break
-            current = max(branches, key=lambda span: span["ms"])
-        out.append({"cell": cell["id"], "ms": cell["ms"], "chain": chain})
-    return out
+    return [
+        {"cell": cell["id"], "ms": cell["ms"],
+         "chain": _chain(cell, children, max_depth)}
+        for cell in cells[:top]
+    ]
 
 
 def slowest_service_spans(trace, top=10):
     """Top-``top`` services by total duration, with drill-down span IDs.
 
-    Extends the profile report's per-service ranking with the ID of the
-    single slowest contributing span, so the reader can jump from the
-    table straight into the trace (or a regress drilldown) without
-    grepping.  Returns ``(server, service, spans, total_ms,
-    slowest_span_id, slowest_ms)`` tuples.
+    Durations aggregate per (server, service) over the coarsest
+    per-service span kind present, so nested spans are not counted
+    twice.  Each row carries the ID of the single slowest contributing
+    span, so the reader can jump from the table straight into the trace
+    (or a regress drilldown) without grepping.  Returns ``(server,
+    service, spans, total_ms, slowest_span_id, slowest_ms)`` tuples.
     """
-    by_id, children = span_index(trace)
-    service_names = ("service", "lifecycle", "mutant")
+    by_id, _ = span_index(trace)
     names_present = {span["name"] for span in trace["spans"]}
     selected = next(
-        (name for name in service_names if name in names_present), None
+        (name for name in _SERVICE_SPAN_NAMES if name in names_present), None
     )
     if selected is None:
         return []
-
-    def server_of(span):
-        seen = set()
-        current = span
-        while current is not None and current["id"] not in seen:
-            seen.add(current["id"])
-            if current["name"] == "server":
-                return current["attrs"].get("server", "?")
-            current = by_id.get(current["parent"])
-        return "?"
-
     totals = {}
     for span in trace["spans"]:
         if span["name"] != selected:
@@ -143,7 +149,7 @@ def slowest_service_spans(trace, top=10):
         service = span["attrs"].get("service")
         if service is None:
             continue
-        key = (server_of(span), service)
+        key = (_server_of(span, by_id), service)
         count, total, worst = totals.get(key, (0, 0.0, None))
         if worst is None or span["ms"] > worst["ms"]:
             worst = span

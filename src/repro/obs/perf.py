@@ -97,16 +97,34 @@ WIRE_METRICS = (
 )
 
 
+def _merged(keyed):
+    """``{key: Histogram}`` from ``(key, Histogram)`` pairs, each key's
+    histograms merged in the order they come."""
+    merged = {}
+    for key, histogram in keyed:
+        if key in merged:
+            merged[key].merge(histogram)
+        else:
+            merged[key] = histogram
+    return merged
+
+
+def stage_histograms(trace):
+    """``{stage name: Histogram}`` from the trace's ``span_ms`` lines."""
+    return _merged(
+        (labels["name"], histogram)
+        for labels, histogram in _histograms_named(trace, "span_ms")
+        if labels.get("name") is not None
+    )
+
+
 def wire_histograms(trace):
     """``{row: Histogram}`` of the :data:`WIRE_METRICS` a trace holds."""
-    rows = {}
-    for row, metric in WIRE_METRICS:
-        for _, histogram in _histograms_named(trace, metric):
-            if row in rows:
-                rows[row].merge(histogram)
-            else:
-                rows[row] = histogram
-    return rows
+    return _merged(
+        (row, histogram)
+        for row, metric in WIRE_METRICS
+        for _, histogram in _histograms_named(trace, metric)
+    )
 
 
 def _root_ms(trace):
@@ -164,29 +182,14 @@ def perf_profile(trace):
     canonically and content-addresses stably.
     """
     meta = trace["meta"] or {}
-    stages = {}
-    for labels, histogram in _histograms_named(trace, "span_ms"):
-        stage = labels.get("name")
-        if stage is None:
-            continue
-        if stage in stages:
-            stages[stage].merge(histogram)
-        else:
-            stages[stage] = histogram
-    pairs = {}
-    cells = 0
-    for labels, histogram in _histograms_named(trace, "pair_ms"):
-        server = labels.get("server")
-        client = labels.get("client")
-        if server is None or client is None:
-            continue
-        key = f"{server}|{client}"
-        if key in pairs:
-            pairs[key].merge(histogram)
-        else:
-            pairs[key] = histogram
-    for histogram in pairs.values():
-        cells += histogram.count
+    stages = stage_histograms(trace)
+    pairs = _merged(
+        (f"{labels['server']}|{labels['client']}", histogram)
+        for labels, histogram in _histograms_named(trace, "pair_ms")
+        if labels.get("server") is not None
+        and labels.get("client") is not None
+    )
+    cells = sum(histogram.count for histogram in pairs.values())
     if not cells:
         # Campaigns without pair_ms rollups (e.g. invoke) still mark
         # each (server, client) measurement with a cell-level span.

@@ -33,7 +33,6 @@ from repro.reporting.perf import (
 from repro.reporting.profile import (
     critical_path_rows,
     render_profile,
-    slowest_services,
     stage_latency_rows,
     worker_utilization_rows,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "render_regress_summary",
     "render_resilience_matrix",
     "render_triage_summary",
-    "slowest_services",
     "stage_latency_rows",
     "supervision_rows",
     "supervision_to_json",

@@ -36,8 +36,8 @@ def render_experiments_markdown(result, elapsed_seconds=None):
     w("the paper-scale campaign (22,024 services, 79,629 tests)"
       + (f", which ran in {elapsed_seconds:.1f}s on this machine."
          if elapsed_seconds is not None else "."))
-    w("Regenerate any row with the matching bench target")
-    w("(`pytest benchmarks/<file> --benchmark-only`).")
+    w("Regenerate it with `wsinterop experiments -o EXPERIMENTS.md`; the tier-1")
+    w("tests named in each heading check its rows.")
     w("")
     w("“Paper” columns cite the self-consistent reconstruction in")
     w("`repro/data/paper_results.py`; the paper's own Fig. 4, Table III and body")
@@ -45,7 +45,8 @@ def render_experiments_markdown(result, elapsed_seconds=None):
     w("")
 
     # -- corpus ------------------------------------------------------------
-    w("## Corpus and scale (§III) — `bench_corpus_counts.py`")
+    w("## Corpus and scale (§III) — `test_paper_numbers.py::TestCorpusScale`, "
+      "`test_catalog_calibration.py`")
     w("")
     w("| Metric | Paper | Measured | Match |")
     w("|---|---:|---:|:--|")
@@ -73,7 +74,7 @@ def render_experiments_markdown(result, elapsed_seconds=None):
     w("")
 
     # -- Fig. 4 ------------------------------------------------------------
-    w("## Fig. 4 — per-server overview — `bench_fig4_overview.py`")
+    w("## Fig. 4 — per-server overview — `test_paper_numbers.py::TestFig4`")
     w("")
     w("| Server | Metric | Paper (recon.) | Paper (printed) | Measured | Match |")
     w("|---|---|---:|---:|---:|:--|")
@@ -87,7 +88,8 @@ def render_experiments_markdown(result, elapsed_seconds=None):
     w("")
 
     # -- Table III ----------------------------------------------------------
-    w("## Table III — per-combination cells — `bench_table3_detail.py`")
+    w("## Table III — per-combination cells — "
+      "`test_paper_numbers.py::TestTable3`")
     w("")
     w("Cells are `generation warnings / generation errors / compilation")
     w("warnings / compilation errors`, counted in tests. `-` marks platforms")
@@ -110,7 +112,7 @@ def render_experiments_markdown(result, elapsed_seconds=None):
         w("")
 
     # -- headlines ----------------------------------------------------------
-    w("## Headline findings (§IV/§V) — `bench_totals.py`, `bench_ablation_wsi.py`")
+    w("## Headline findings (§IV/§V) — `test_paper_numbers.py::TestHeadlines`")
     w("")
     w("| Metric | Paper | Measured | Match |")
     w("|---|---:|---:|:--|")

@@ -10,7 +10,6 @@ rolled up under their server), and what each pool worker was doing
 
 from __future__ import annotations
 
-from repro.obs.metrics import Histogram
 from repro.reporting.tables import render_table
 
 #: Stage rows are ordered by where they sit in the lifecycle, with
@@ -21,10 +20,6 @@ _STAGE_ORDER = (
     "mutant", "proxy", "invoke",
 )
 
-#: Span names that measure one service's processing and carry enough
-#: attrs to roll up per (server, service).
-_SERVICE_SPAN_NAMES = ("service", "lifecycle", "mutant")
-
 
 def _stage_sort_key(stage):
     try:
@@ -33,26 +28,10 @@ def _stage_sort_key(stage):
         return (1, stage)
 
 
-def stage_histograms(trace):
-    """``{stage name: Histogram}`` from the trace's ``span_ms`` lines."""
-    stages = {}
-    for event in trace["metrics_events"]:
-        if event["kind"] != "histogram" or event["name"] != "span_ms":
-            continue
-        labels = dict(tuple(pair) for pair in event["labels"])
-        stage = labels.get("name")
-        if stage is None:
-            continue
-        histogram = Histogram.from_obj(event)
-        if stage in stages:
-            stages[stage].merge(histogram)
-        else:
-            stages[stage] = histogram
-    return stages
-
-
 def stage_latency_rows(trace):
     """(stage, count, p50, p95, p99, mean, total-ms) rows."""
+    from repro.obs.perf import stage_histograms
+
     rows = []
     stages = stage_histograms(trace)
     for stage in sorted(stages, key=_stage_sort_key):
@@ -85,56 +64,6 @@ def wire_rows(trace):
             f"{histogram.total:.1f}",
         )
         for part, histogram in wire_histograms(trace).items()
-    ]
-
-
-def _server_of(span, by_id):
-    """Walk parent edges up to the enclosing server rollup span."""
-    seen = set()
-    current = span
-    while current is not None and current["id"] not in seen:
-        seen.add(current["id"])
-        if current["name"] == "server":
-            return current["attrs"].get("server", "?")
-        current = by_id.get(current["parent"])
-    return "?"
-
-
-def slowest_services(trace, top=10):
-    """Top-``top`` (server, service, spans, total-ms) by total duration.
-
-    The run campaign has one ``service`` span per service; resilience
-    and fuzz sweeps measure a service once per (client, config) cell via
-    ``lifecycle``/``mutant`` spans, so durations aggregate per
-    (server, service) before ranking.
-    """
-    by_id = {span["id"]: span for span in trace["spans"]}
-    names_present = {span["name"] for span in trace["spans"]}
-    # Prefer the coarsest per-service span kind present, so nested
-    # lifecycle spans are not double-counted under their service span.
-    for name in _SERVICE_SPAN_NAMES:
-        if name in names_present:
-            selected = name
-            break
-    else:
-        return []
-    totals = {}
-    for span in trace["spans"]:
-        if span["name"] != selected:
-            continue
-        service = span["attrs"].get("service")
-        if service is None:
-            continue
-        server = _server_of(span, by_id)
-        key = (server, service)
-        spans_count, total = totals.get(key, (0, 0.0))
-        totals[key] = (spans_count + 1, total + span["ms"])
-    ranked = sorted(
-        totals.items(), key=lambda item: (-item[1][1], item[0])
-    )[:top]
-    return [
-        (server, service, spans_count, f"{total:.1f}")
-        for (server, service), (spans_count, total) in ranked
     ]
 
 

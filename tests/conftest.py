@@ -8,6 +8,8 @@ coverage) is what most integration tests use.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core import Campaign, CampaignConfig
@@ -48,5 +50,13 @@ def quick_campaign_result():
 
 
 @pytest.fixture(scope="session")
-def full_campaign_result():
-    return Campaign(CampaignConfig()).run()
+def full_campaign_run():
+    """The paper-scale campaign and its serial wall time in seconds."""
+    started = time.perf_counter()
+    result = Campaign(CampaignConfig()).run()
+    return result, time.perf_counter() - started
+
+
+@pytest.fixture(scope="session")
+def full_campaign_result(full_campaign_run):
+    return full_campaign_run[0]

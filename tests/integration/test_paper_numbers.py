@@ -2,13 +2,17 @@
 
 This is the paper-scale run — 22,024 services, 7,239 WSDLs, 79,629
 tests — compared cell by cell against the reconstructed Table III and
-Fig. 4 (see repro.data.paper_results for the reconstruction notes).
+Fig. 4 (see repro.data.paper_results for the reconstruction notes),
+plus the §V fix ablation: the campaign re-run with one documented tool
+defect repaired.
 """
 
 import pytest
 
+from repro.core import Campaign, CampaignConfig
 from repro.core.analysis import (
     error_free_wsi_warned_services,
+    error_services_by_server,
     headline_numbers,
     wsi_predictive_power,
 )
@@ -68,6 +72,12 @@ class TestHeadlines:
         assert warned == 86
         assert with_errors == 82
         assert round(ratio, 3) == 0.953
+        # A strong but partial predictor: most erroring services
+        # (throwables, script shapes, case collisions) pass WS-I, which
+        # is the paper's case against trusting compliance alone.
+        errors = error_services_by_server(full_campaign_result)
+        coverage = with_errors / sum(len(names) for names in errors.values())
+        assert coverage < 0.25
 
     def test_four_error_free_warned_services(self, full_campaign_result):
         survivors = error_free_wsi_warned_services(full_campaign_result)
@@ -80,6 +90,7 @@ class TestHeadlines:
         measured = full_campaign_result.totals()["error_situations"]
         paper = PAPER_HEADLINES["error_situations"]
         assert abs(measured - paper) / paper < 0.01
+        assert measured == 1591
 
     def test_axis1_throwable_errors_889(self, full_campaign_result):
         total = (
@@ -87,3 +98,42 @@ class TestHeadlines:
             + full_campaign_result.cell("jbossws", "axis1").comp_error_tests
         )
         assert total == PAPER_HEADLINES["axis1_throwable_comp_errors"]
+
+
+def _errors_removed_by(overrides, full_campaign_result):
+    fixed = Campaign(CampaignConfig(client_flag_overrides=overrides)).run()
+    return (
+        full_campaign_result.totals()["error_situations"]
+        - fixed.totals()["error_situations"]
+    )
+
+
+class TestFixAblation:
+    """How many of the 1,591 error situations one repaired defect removes."""
+
+    @pytest.mark.parametrize(
+        "overrides, removed",
+        [
+            # Axis1's wrapper bug alone accounts for the 889 throwable failures.
+            pytest.param({"axis1": {"throwable_wrapper_bug": False}}, 889,
+                         id="axis1-fault-wrapper"),
+            # The 50 + 50 + 301 JScript compile failures.
+            pytest.param({"dotnet-js": {"nullable_array_helper_bug": False,
+                                        "crash_on_deep_nullable_arrays": False}},
+                         401, id="jscript-helper-and-crash"),
+        ],
+    )
+    def test_fix_removes_exactly_its_errors(
+        self, full_campaign_result, overrides, removed
+    ):
+        assert _errors_removed_by(overrides, full_campaign_result) == removed
+
+    def test_jaxb_schema_idiom_removes_the_dataset_errors(
+        self, full_campaign_result
+    ):
+        overrides = {
+            tool: {"supports_schema_in_instance": True}
+            for tool in ("metro", "cxf", "jbossws")
+        }
+        # At least the 76 DataSet errors of each of the three JAXB tools.
+        assert _errors_removed_by(overrides, full_campaign_result) >= 76 * 3

@@ -4,11 +4,14 @@ The supervised pool's whole contract is that ``--workers N`` is an
 implementation detail: any worker count, any completion order, and any
 supervisor crash/resume must produce byte-identical results.  These
 tests exercise that contract end to end over the full quick campaign
-(all five servers, all eleven clients) and through the CLI.
+(all five servers, all eleven clients), over the paper-scale campaign,
+and through the CLI.
 """
 
 import json
 import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -49,6 +52,26 @@ class TestRunCampaign:
             assert parallel == serial, f"diverged at --workers {workers}"
             assert stats.units_completed == stats.units_total
             assert stats.contained == 0
+
+    def test_paper_scale_pool_matches_serial_and_keeps_pace(
+        self, full_campaign_run
+    ):
+        full_result, serial_wall = full_campaign_run
+        serial = json.dumps(result_to_obj(full_result), sort_keys=True)
+        job = Campaign(CampaignConfig()).shard_job()
+        speedups = []
+        for workers in (2, 4):
+            started = time.perf_counter()
+            result, stats = execute_sharded(job, PoolConfig(workers=workers))
+            speedups.append(serial_wall / (time.perf_counter() - started))
+            parallel = json.dumps(result_to_obj(result), sort_keys=True)
+            assert parallel == serial, f"diverged at --workers {workers}"
+            assert stats.units_completed == stats.units_total
+            assert stats.contained == 0
+        # With four cores the pool must beat serial at some width; with
+        # fewer it timeslices one core's work, so only its overhead is
+        # bounded.
+        assert max(speedups) > (1.0 if (os.cpu_count() or 1) >= 4 else 0.3)
 
     def test_digest_identical_under_kill_and_resume(
         self, tmp_path, quick_campaign_result

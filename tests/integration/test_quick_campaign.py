@@ -5,6 +5,7 @@ of every failure class, so the same behaviours must show up — just with
 smaller populations.
 """
 
+from repro.core import Campaign, CampaignConfig
 from repro.core.analysis import (
     error_free_wsi_warned_services,
     headline_numbers,
@@ -12,12 +13,45 @@ from repro.core.analysis import (
 )
 from repro.core.outcomes import StepStatus
 from repro.typesystem import QUICK_DOTNET_QUOTAS, QUICK_JAVA_QUOTAS
+from repro.typesystem.quotas import DotNetCatalogQuotas, JavaCatalogQuotas
+
+
+def _scaled_config(scale):
+    java = JavaCatalogQuotas(
+        total=300 * scale,
+        metro_bindable=180 * scale,
+        jbossws_bindable=160 * scale + 2,
+        throwable_total=30 * scale,
+        throwable_metro=24 * scale,
+        throwable_jbossws=20 * scale,
+        script_unfriendly=4 * scale,
+    )
+    dotnet = DotNetCatalogQuotas(
+        total=600 * scale,
+        wcf_bindable=150 * scale,
+        dataset_schema_ref=12 * scale,
+        schema_keyref=3 * scale,
+        recursive_schema_ref=1,
+        xml_lang_attr=2 * scale,
+        script_unfriendly=10 * scale,
+        script_crasher=2 * scale,
+        vb_case_collisions=4,
+    )
+    return CampaignConfig(java_quotas=java, dotnet_quotas=dotnet)
 
 
 class TestPopulations:
     def test_tests_executed(self, quick_campaign_result):
         deployed = quick_campaign_result.services_deployed
         assert quick_campaign_result.tests_executed == deployed * 11
+
+    def test_tests_scale_with_the_deployed_population(self):
+        tests = {}
+        for scale in (1, 2, 4):
+            totals = Campaign(_scaled_config(scale)).run().totals()
+            assert totals["tests"] == totals["services_deployed"] * 11, scale
+            tests[scale] = totals["tests"]
+        assert tests[4] > tests[1] * 3
 
     def test_deployed_counts_match_quotas(self, quick_campaign_result):
         servers = quick_campaign_result.servers
@@ -133,9 +167,6 @@ class TestInvariants:
         assert 0.0 <= headlines["wsi_predictive_ratio"] <= 1.0
 
     def test_deterministic_rerun(self, quick_campaign_result):
-        from repro.core import Campaign, CampaignConfig
-        from repro.typesystem import QUICK_DOTNET_QUOTAS, QUICK_JAVA_QUOTAS
-
         again = Campaign(
             CampaignConfig(
                 java_quotas=QUICK_JAVA_QUOTAS, dotnet_quotas=QUICK_DOTNET_QUOTAS

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.appservers import GlassFish, IisExpress, JBossAs, container_for
+from repro.data import PAPER_TABLE1, PAPER_TABLE2
 from repro.frameworks.registry import (
     CLIENT_IDS,
     SERVER_IDS,
@@ -80,6 +81,15 @@ class TestRegistry:
         assert len(CLIENT_IDS) == 11
         assert len(all_server_frameworks()) == 3
         assert len(all_client_frameworks()) == 11
+        # Row by row in the paper's order: Table I's languages, Table
+        # II's languages and compilation modes.
+        servers = all_server_frameworks()
+        for (*_, language), server_id in zip(PAPER_TABLE1, SERVER_IDS):
+            assert servers[server_id].language == language, server_id
+        clients = all_client_frameworks()
+        for (*_, language, compiles), client_id in zip(PAPER_TABLE2, CLIENT_IDS):
+            assert clients[client_id].language == language, client_id
+            assert clients[client_id].requires_compilation == compiles, client_id
 
     def test_unknown_ids_rejected(self):
         with pytest.raises(KeyError):

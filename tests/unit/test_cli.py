@@ -4,6 +4,8 @@ import errno
 import gc
 import json
 import os
+import shutil
+import subprocess
 import weakref
 
 import pytest
@@ -329,3 +331,41 @@ class TestOneSweepCommand:
         monkeypatch.setitem(cli.SWEEPS, command, row._replace(report=report))
         assert main(SWEEP_ARGV[command]) == 0
         assert built and alive == []
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestGitRev:
+    """The revision ``regress --accept`` and ``perf record`` stamp."""
+
+    def _git(self, directory, *args):
+        return subprocess.run(
+            ["git", "-C", str(directory), "-c", "user.name=t",
+             "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+             *args],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    def test_a_dirty_tree_is_marked(self, tmp_path):
+        self._git(tmp_path, "init", "-q")
+        (tmp_path / "a.txt").write_text("one\n")
+        self._git(tmp_path, "add", "a.txt")
+        self._git(tmp_path, "commit", "-q", "-m", "one")
+        rev = self._git(tmp_path, "rev-parse", "--short", "HEAD")
+        (tmp_path / "untracked.txt").write_text("x\n")
+        assert cli._git_rev(str(tmp_path)) == rev
+        (tmp_path / "a.txt").write_text("two\n")
+        assert cli._git_rev(str(tmp_path)) == f"{rev}-dirty"
+
+    def test_reads_the_package_checkout_from_any_directory(
+        self, tmp_path, monkeypatch
+    ):
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        try:
+            rev = self._git(package, "rev-parse", "--short", "HEAD")
+        except subprocess.CalledProcessError:
+            pytest.skip("the package is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert cli._git_rev().removesuffix("-dirty") == rev
+
+    def test_outside_a_checkout_it_is_empty(self, tmp_path):
+        assert cli._git_rev(str(tmp_path / "missing")) == ""

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.appservers import GlassFish, IisExpress, JBossAs
+from repro.core.pipeline import run_client_test
 from repro.frameworks.registry import all_client_frameworks
 from repro.runtime import run_full_lifecycle
-from repro.services import CompositeServiceDefinition, compose_corpus
+from repro.services import (
+    CompositeServiceDefinition,
+    compose_corpus,
+    generate_corpus,
+)
 from repro.typesystem import (
     Catalog,
     CtorVisibility,
@@ -162,3 +167,30 @@ class TestClientsOnComposites:
         document = read_wsdl_text(record.wsdl_text)
         assert document.schema_prefix == "s"
         assert len(document.operations) == 2
+
+
+def _error_rate(records):
+    """Share of (service, client) tests with at least one error."""
+    clients = all_client_frameworks().items()
+    errors = [
+        run_client_test("metro", client_id, client, document).has_error
+        for document in [read_wsdl_text(record.wsdl_text) for record in records]
+        for client_id, client in clients
+    ]
+    return sum(errors) / len(errors)
+
+
+class TestComplexity:
+    """The paper's §V future work: do richer interfaces surface more
+    interoperability errors?  A composite fails if any member type trips
+    a tool, so its error rate rises with group size."""
+
+    def test_four_types_per_service_err_at_least_as_often_as_one(
+        self, quick_java_catalog
+    ):
+        simple = GlassFish()
+        simple.deploy_corpus(generate_corpus(quick_java_catalog))
+        composite = GlassFish()
+        for service in compose_corpus(quick_java_catalog, group_size=4):
+            composite.deploy(service)
+        assert _error_rate(composite.deployed) >= _error_rate(simple.deployed)

@@ -32,8 +32,10 @@ from repro.obs.perf import (
     STAGE_OK,
     STAGE_REGRESSION,
     STAGE_REMOVED,
+    stage_histograms,
     stage_stats,
     trace_to_profile_inputs,
+    wire_histograms,
 )
 from repro.runtime.progress import (
     ProgressValidationError,
@@ -169,6 +171,21 @@ class TestProfileExtraction:
         rendered = render_profile(trace)
         assert "Wire exchanges" in rendered
         assert "first_byte" in rendered
+
+    def test_repeated_label_sets_merge_into_one_row(self):
+        def event(name, labels, values):
+            obj = _stage_histogram(values)
+            obj.update(kind="histogram", name=name, labels=labels)
+            return obj
+
+        trace = {"metrics_events": [
+            event("span_ms", [["name", "test"]], [1.0]),
+            event("span_ms", [["name", "test"]], [2.0, 3.0]),
+            event("wire_ms", [["server", "a"]], [1.0]),
+            event("wire_ms", [["server", "b"]], [4.0]),
+        ]}
+        assert stage_histograms(trace)["test"].count == 3
+        assert wire_histograms(trace)["total"].total == 5.0
 
     def test_profiles_without_wire_posts_have_no_wire_parts(self):
         profile = perf_profile(_traced_trace())
