@@ -100,14 +100,17 @@ def positive_int(text):
     return value
 
 
-def _enum_list(text, enum, noun, plural, parse=None, extra=""):
-    """The ``enum`` members a comma list names; every member when empty."""
+def _enum_list(text, members, noun, plural, parse=None, extra=""):
+    """The members a comma list names, each parsed by ``parse`` (by
+    default ``members``, an enum); all of ``members`` when empty."""
     if not text:
-        return tuple(enum)
+        return tuple(members)
     try:
-        return tuple((parse or enum)(item.strip()) for item in text.split(","))
+        return tuple(
+            (parse or members)(item.strip()) for item in text.split(",")
+        )
     except ValueError:
-        valid = ", ".join(member.value for member in enum)
+        valid = ", ".join(member.value for member in members)
         raise UsageError(
             f"unknown {noun} in {text!r}; valid {plural}: {valid}{extra}"
         ) from None
@@ -322,18 +325,19 @@ def _report_run(result, args):
 
 def _resilience_config(args):
     from repro.faults import (
+        DEFAULT_FAULT_KINDS,
+        DEFAULT_WIRE_FAULT_KINDS,
         FaultKind,
         ResilienceCampaignConfig,
-        WireFaultKind,
-        fault_kind_of,
     )
 
-    wire_valid = ", ".join(kind.value for kind in WireFaultKind)
+    wire_valid = ", ".join(kind.value for kind in DEFAULT_WIRE_FAULT_KINDS)
     kinds = _enum_list(
-        args.kinds, FaultKind, "fault kind", "kinds", parse=fault_kind_of,
+        args.kinds, DEFAULT_FAULT_KINDS, "fault kind", "kinds",
+        parse=FaultKind,
         extra=f"; wire-only kinds (--transport wire): {wire_valid}",
     )
-    wire_kinds = [k.value for k in kinds if isinstance(k, WireFaultKind)]
+    wire_kinds = [k.value for k in kinds if k in DEFAULT_WIRE_FAULT_KINDS]
     if wire_kinds and args.transport != "wire":
         raise UsageError(
             f"fault kind(s) {', '.join(wire_kinds)} exist only on the wire; "
@@ -1082,7 +1086,7 @@ def build_parser():
         save_help="persist the full result (re-analyzable with `analyze`)",
         checkpoint_help="checkpoint each completed shard unit here; re-run "
         "(under any --workers count) to resume",
-        shards=True,
+        transport=False, shards=True,
     )
 
     resilience_parser = command(

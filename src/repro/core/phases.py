@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import _SERVER_CATALOG, Campaign, CampaignConfig
 from repro.docweb import harvest_type_names
 from repro.frameworks.registry import all_client_frameworks, all_server_frameworks
 
@@ -80,9 +80,8 @@ class PreparationPhase:
             if client_id in config.client_ids
         }
 
-        languages = {"metro": "java", "jbossws": "java", "wcf": "dotnet"}
         for server_id in config.server_ids:
-            language = languages[server_id]
+            language = _SERVER_CATALOG[server_id]
             catalog = campaign.catalog(language)
             result.catalogs[language] = catalog
             if self.crawl_documentation and language not in result.harvested_names:

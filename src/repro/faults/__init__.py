@@ -6,13 +6,14 @@ steps.  This package makes the in-memory stack misbehave on purpose —
 deterministically, from a seed — and measures which client frameworks
 degrade gracefully:
 
-* :mod:`repro.faults.plan` — the fault taxonomy and the seeded,
+* :mod:`repro.faults.plan` — the one fault taxonomy (six
+  response-level kinds, then eight socket kinds) and the seeded,
   reproducible per-request fault schedule;
 * :mod:`repro.faults.transport` — a chaos wrapper over any transport
-  that injects the scheduled faults;
-* :mod:`repro.faults.wire` — socket-level fault injection (reset,
-  slowloris, half-close, garbage framing, …) the in-memory wrapper
-  cannot express, for sweeps running over the wire transport;
+  that injects the scheduled faults of every kind;
+* :mod:`repro.faults.wire` — the socket pathologies (reset, slowloris,
+  half-close, garbage framing, …) that a response object cannot
+  express, each on a one-shot loopback listener;
 * :mod:`repro.faults.policies` — per-client resilience policies (which
   2013-era stacks retried, which just died);
 * :mod:`repro.faults.campaign` — the fault-rate sweep producing
@@ -36,7 +37,6 @@ from repro.faults.campaign import (
     ResilienceCampaignConfig,
     ResilienceCampaignResult,
     ResilienceCellStats,
-    fault_kind_of,
     fuzz_result_from_obj,
     fuzz_result_to_obj,
     resilience_result_from_obj,
@@ -48,15 +48,15 @@ from repro.faults.corpus import (
     MutationKind,
     WsdlMutator,
 )
-from repro.faults.plan import DEFAULT_FAULT_KINDS, FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import (
+    DEFAULT_FAULT_KINDS,
+    DEFAULT_WIRE_FAULT_KINDS,
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+)
 from repro.faults.policies import CLIENT_POLICIES, policy_for
 from repro.faults.transport import FaultingTransport
-from repro.faults.wire import (
-    DEFAULT_WIRE_FAULT_KINDS,
-    WireFaultingTransport,
-    WireFaultKind,
-    WireFaultPlan,
-)
 
 __all__ = [
     "CLIENT_POLICIES",
@@ -78,11 +78,7 @@ __all__ = [
     "ResilienceCampaignConfig",
     "ResilienceCampaignResult",
     "ResilienceCellStats",
-    "WireFaultKind",
-    "WireFaultPlan",
-    "WireFaultingTransport",
     "WsdlMutator",
-    "fault_kind_of",
     "fuzz_result_from_obj",
     "fuzz_result_to_obj",
     "policy_for",

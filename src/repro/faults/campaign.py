@@ -36,7 +36,6 @@ from repro.faults.corpus import DEFAULT_MUTATION_KINDS, MutationKind, WsdlMutato
 from repro.faults.plan import DEFAULT_FAULT_KINDS, FaultKind, FaultPlan, derive_seed
 from repro.faults.policies import policy_for
 from repro.faults.transport import FaultingTransport
-from repro.faults.wire import WireFaultingTransport, WireFaultKind, WireFaultPlan
 from repro.obs.trace import current_tracer
 from repro.runtime import (
     InMemoryHttpTransport,
@@ -50,22 +49,6 @@ from repro.runtime.guard import GuardedStep, GuardLimits, TriageBucket
 
 #: Default rate sweep: a light drizzle and a heavy storm.
 DEFAULT_RATES = (0.15, 0.35)
-
-
-def fault_kind_of(kind):
-    """Coerce ``kind`` to its enum: in-memory or wire fault taxonomy.
-
-    The resilience sweep accepts both :class:`FaultKind` (response-level
-    chaos any transport can express) and :class:`WireFaultKind`
-    (socket-level pathologies); values are disjoint so a string coerces
-    unambiguously.
-    """
-    if isinstance(kind, (FaultKind, WireFaultKind)):
-        return kind
-    try:
-        return FaultKind(kind)
-    except ValueError:
-        return WireFaultKind(kind)
 
 
 @dataclass
@@ -87,7 +70,7 @@ class ResilienceCampaignConfig:
             "seed": self.seed,
             "servers": list(self.base.server_ids),
             "clients": list(self.base.client_ids),
-            "kinds": [fault_kind_of(kind).value for kind in self.fault_kinds],
+            "kinds": [FaultKind(kind).value for kind in self.fault_kinds],
             "rates": [repr(float(rate)) for rate in self.rates],
             "sample": self.sample_per_server,
             "slow_latency_ms": self.slow_latency_ms,
@@ -150,7 +133,7 @@ class ResilienceCellStats(Counters):
 
 
 def _cell_key(server_id, client_id, kind, rate):
-    return (server_id, client_id, fault_kind_of(kind).value, repr(float(rate)))
+    return (server_id, client_id, FaultKind(kind).value, repr(float(rate)))
 
 
 @dataclass
@@ -170,7 +153,7 @@ class ResilienceCampaignResult(CellMatrix):
             server_ids=tuple(rconfig.base.server_ids),
             client_ids=tuple(rconfig.base.client_ids),
             fault_kinds=tuple(
-                fault_kind_of(kind).value for kind in rconfig.fault_kinds
+                FaultKind(kind).value for kind in rconfig.fault_kinds
             ),
             rates=tuple(repr(float(rate)) for rate in rconfig.rates),
             seed=rconfig.seed,
@@ -182,7 +165,7 @@ class ResilienceCampaignResult(CellMatrix):
 
     def client_survival(self, kind, rate):
         """Per-client survival rate across servers for one fault config."""
-        kind = fault_kind_of(kind).value
+        kind = FaultKind(kind).value
         rate = repr(float(rate))
         out = {}
         for client_id in self.client_ids:
@@ -257,7 +240,7 @@ class ResilienceCampaign(LifecycleCampaign):
                 unit_transports(self.transport_factory) as new_transport:
             selected = self._deploy_sample(server_id)
             for kind in rconfig.fault_kinds:
-                kind = fault_kind_of(kind)
+                kind = FaultKind(kind)
                 for rate in rconfig.rates:
                     for client_id, client in clients.items():
                         cell = ResilienceCellStats()
@@ -293,23 +276,14 @@ class ResilienceCampaign(LifecycleCampaign):
                 rconfig.seed, server_id, client_id, kind.value,
                 repr(float(rate)), record.service.name,
             )
-            if isinstance(kind, WireFaultKind):
-                faulting = WireFaultingTransport(
-                    new_transport(),
-                    WireFaultPlan.single(
-                        seed, kind, rate,
-                        base_latency_ms=rconfig.base_latency_ms,
-                    ),
-                )
-            else:
-                faulting = FaultingTransport(
-                    new_transport(),
-                    FaultPlan.single(
-                        seed, kind, rate,
-                        slow_latency_ms=rconfig.slow_latency_ms,
-                        base_latency_ms=rconfig.base_latency_ms,
-                    ),
-                )
+            faulting = FaultingTransport(
+                new_transport(),
+                FaultPlan.single(
+                    seed, kind, rate,
+                    slow_latency_ms=rconfig.slow_latency_ms,
+                    base_latency_ms=rconfig.base_latency_ms,
+                ),
+            )
             resilient.inner = faulting
             try:
                 outcome = run_full_lifecycle(
@@ -616,6 +590,7 @@ class FuzzCampaign(LifecycleCampaign):
         if not generation.succeeded:
             return TriageBucket.CLEAN, True, ""
 
+        # A dynamic client's generate already instantiated its proxy.
         if client.requires_compilation:
             compiled = GuardedStep(
                 "compile", client.compiler.compile, limits=limits
@@ -623,13 +598,5 @@ class FuzzCampaign(LifecycleCampaign):
             if not compiled.ok:
                 return compiled.bucket, False, compiled.detail
             if not compiled.value.succeeded:
-                return TriageBucket.CLEAN, True, ""
-        else:
-            instantiated = GuardedStep(
-                "instantiate", client.instantiate, limits=limits
-            ).run(generation.bundle)
-            if not instantiated.ok:
-                return instantiated.bucket, False, instantiated.detail
-            if any(d.is_error for d in instantiated.value):
                 return TriageBucket.CLEAN, True, ""
         return TriageBucket.CLEAN, False, ""

@@ -1,12 +1,13 @@
 """The fault taxonomy and the deterministic per-request fault schedule.
 
-A :class:`FaultPlan` is a reproducible stream of injection decisions:
-seeded once, it answers "does request number *n* fail, and how?" the
-same way on every run.  Sub-plans are derived by hashing stable labels
-(server id, service name, client id, …) into the seed, so a campaign
-that resumes from a checkpoint sees exactly the faults the uninterrupted
-run would have seen — scheduling is independent of any global request
-counter.
+A :class:`FaultPlan` is a reproducible stream of injection decisions
+over any kinds of the one :class:`FaultKind` taxonomy: seeded once, it
+answers "does request number *n* fail, and how?" the same way on every
+run.  A campaign seeds each plan with :func:`derive_seed`, hashing
+stable labels (server id, service name, client id, …) into its own
+seed, so a campaign that resumes from a checkpoint sees exactly the
+faults the uninterrupted run would have seen — scheduling is
+independent of any global request counter.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from dataclasses import dataclass
 
 
 class FaultKind(enum.Enum):
-    """The injectable failure modes, in wire-level order of appearance."""
+    """The injectable failure modes: six response-level kinds, then
+    eight socket kinds performed on a real loopback socket, each group
+    in order of appearance on the wire."""
 
     #: TCP connect fails; the request never leaves the client.
     CONNECTION_REFUSED = "connection-refused"
@@ -32,10 +35,29 @@ class FaultKind(enum.Enum):
     TRUNCATED_BODY = "truncated-body"
     #: The body arrives whole but is not well-formed SOAP.
     MALFORMED_ENVELOPE = "malformed-envelope"
+    #: RST mid-body: response headers promise more than arrives.
+    RESET = "reset"
+    #: The peer keeps trickling one header byte inside any recv window.
+    SLOWLORIS = "slowloris"
+    #: ``shutdown(SHUT_WR)`` before a single response byte.
+    HALF_CLOSE = "half-close"
+    #: Clean FIN mid-body — a truncated but well-framed prefix.
+    TRUNCATION = "truncation"
+    #: The peer speaks, but it is not HTTP.
+    GARBAGE_FRAMING = "garbage-framing"
+    #: A header block past any sane client limit.
+    HEADER_OVERFLOW = "header-overflow"
+    #: Two conflicting ``Content-Length`` headers.
+    DUPLICATE_HEADER = "duplicate-header"
+    #: ``Transfer-Encoding: chunked`` with a non-hex chunk size.
+    BAD_CHUNK = "bad-chunk"
 
 
-#: Sweep order used by campaigns and reports.
-DEFAULT_FAULT_KINDS = tuple(FaultKind)
+#: The response-level kinds, in sweep order: the default sweep.
+DEFAULT_FAULT_KINDS = tuple(FaultKind)[:6]
+#: The socket kinds, in sweep order; the CLI sweeps them only with
+#: ``--transport wire``.
+DEFAULT_WIRE_FAULT_KINDS = tuple(FaultKind)[6:]
 
 
 @dataclass(frozen=True)
@@ -66,7 +88,6 @@ class FaultPlan:
 
     def __init__(self, seed, rates, slow_latency_ms=30_000.0,
                  base_latency_ms=5.0):
-        self.seed = seed
         self.rates = {FaultKind(kind): float(rate) for kind, rate in rates.items()}
         total = sum(self.rates.values())
         if total > 1.0 + 1e-9:
@@ -81,15 +102,6 @@ class FaultPlan:
     def single(cls, seed, kind, rate, **kwargs):
         """A plan injecting only ``kind`` at ``rate``."""
         return cls(seed, {FaultKind(kind): rate}, **kwargs)
-
-    def derive(self, *labels):
-        """A fresh plan with the same rates and a label-derived seed."""
-        return FaultPlan(
-            derive_seed(self.seed, *labels),
-            dict(self.rates),
-            slow_latency_ms=self.slow_latency_ms,
-            base_latency_ms=self.base_latency_ms,
-        )
 
     def next_event(self):
         """The injection decision for the next request (None = clean)."""

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.faults.plan import FaultKind
+from repro.faults.plan import DEFAULT_WIRE_FAULT_KINDS, FaultKind
+from repro.faults.wire import post_to_fault_listener
 from repro.runtime.transport import ConnectionRefused, HttpResponse
 
 
@@ -26,7 +27,10 @@ class FaultingTransport:
     wire: CONNECTION_REFUSED pre-empts the request entirely, HTTP_5xx
     replace the server's answer, LATENCY stamps the response with a
     simulated round-trip beyond any deadline, and TRUNCATED_BODY /
-    MALFORMED_ENVELOPE mangle an otherwise good response.
+    MALFORMED_ENVELOPE mangle an otherwise good response.  A socket
+    kind sends the request to a one-shot listener that performs the
+    pathology (:mod:`repro.faults.wire`), so the classified error the
+    client raises comes from a genuine socket, not a mock.
     """
 
     def __init__(self, inner, plan):
@@ -68,7 +72,10 @@ class FaultingTransport:
                 elapsed_ms=self.plan.base_latency_ms,
             )
 
-        response = self.inner.post(url, body, headers)
+        if kind in DEFAULT_WIRE_FAULT_KINDS:
+            response = post_to_fault_listener(kind, url, body, headers)
+        else:
+            response = self.inner.post(url, body, headers)
         if kind is FaultKind.LATENCY:
             response.elapsed_ms = event.latency_ms
             return response

@@ -1,13 +1,15 @@
-"""Socket-level fault injection: faults the in-memory stack cannot express.
+"""Socket-level faults: the pathologies the in-memory stack cannot express.
 
-The in-memory chaos wrapper (:mod:`repro.faults.transport`) misbehaves
-at the *response object* level.  This module misbehaves at the *byte*
-level: a scheduled fault redirects the request to a one-shot loopback
-listener that performs a genuine socket pathology — reset mid-body,
-slowloris byte-trickling, half-close, garbage framing, oversized or
-duplicated headers, chunked-encoding violations — so the strict
-:class:`~repro.runtime.wire.WireClient` actually experiences the
-failure and raises its classified framing error.
+The response-level kinds of :class:`~repro.faults.plan.FaultKind`
+misbehave at the *response object* level.  Its socket kinds misbehave
+at the *byte* level: :class:`~repro.faults.transport.FaultingTransport`
+hands such a request to :func:`post_to_fault_listener`, which sends it
+to a one-shot loopback listener that performs a genuine socket
+pathology — reset mid-body, slowloris byte-trickling, half-close,
+garbage framing, oversized or duplicated headers, chunked-encoding
+violations — so the strict :class:`~repro.runtime.wire.WireClient`
+actually experiences the failure and raises its classified framing
+error.
 
 Every pathology maps to exactly one exception class in the shared
 transport taxonomy, all of them :class:`TransportError` subclasses, so
@@ -27,24 +29,21 @@ duplicate-header    :class:`ProtocolError`
 bad-chunk           :class:`ChunkedEncodingError`
 ==================  =========================================
 
-Scheduling follows the :class:`~repro.faults.plan.FaultPlan` idiom
-exactly: a seeded single uniform draw walked through cumulative rates
-in taxonomy order, with label-derived sub-seeds, so a resumed or
-sharded sweep sees the same schedule as an uninterrupted serial one.
-Only the *schedule* is deterministic byte-for-byte; the classified
-outcome per kind is deterministic by construction of the pathology.
+The one :class:`~repro.faults.plan.FaultPlan` schedules socket kinds
+like any other, so a resumed or sharded sweep sees the same schedule as
+an uninterrupted serial one.  Only the *schedule* is deterministic
+byte-for-byte; the classified outcome per kind is deterministic by
+construction of the pathology.
 """
 
 from __future__ import annotations
 
-import enum
-import random
 import socket
 import struct
 import threading
 import time
 
-from repro.faults.plan import derive_seed
+from repro.faults.plan import FaultKind
 from repro.runtime.wire import MAX_HEADER_BYTES, WireClient
 
 #: How long a one-shot listener waits for its single connection before
@@ -56,79 +55,6 @@ _LISTENER_TIMEOUT = 10.0
 SLOWLORIS_DEADLINE = 0.25
 _DRIP_INTERVAL = 0.05
 _MAX_DRIPS = 200
-
-
-class WireFaultKind(enum.Enum):
-    """Wire-only failure modes, in order of appearance on the socket."""
-
-    #: RST mid-body: response headers promise more than arrives.
-    RESET = "reset"
-    #: The peer keeps trickling one header byte inside any recv window.
-    SLOWLORIS = "slowloris"
-    #: ``shutdown(SHUT_WR)`` before a single response byte.
-    HALF_CLOSE = "half-close"
-    #: Clean FIN mid-body — a truncated but well-framed prefix.
-    TRUNCATION = "truncation"
-    #: The peer speaks, but it is not HTTP.
-    GARBAGE_FRAMING = "garbage-framing"
-    #: A header block past any sane client limit.
-    HEADER_OVERFLOW = "header-overflow"
-    #: Two conflicting ``Content-Length`` headers.
-    DUPLICATE_HEADER = "duplicate-header"
-    #: ``Transfer-Encoding: chunked`` with a non-hex chunk size.
-    BAD_CHUNK = "bad-chunk"
-
-
-#: Sweep order used by campaigns and reports.
-DEFAULT_WIRE_FAULT_KINDS = tuple(WireFaultKind)
-
-
-class WireFaultPlan:
-    """A seeded schedule of wire faults at given rates.
-
-    Mirrors :class:`repro.faults.plan.FaultPlan`: the per-request draw
-    is a single uniform sample walked through cumulative rates in
-    :class:`WireFaultKind` order, so the schedule depends only on the
-    seed, the rates and the request index.
-    """
-
-    def __init__(self, seed, rates, base_latency_ms=5.0):
-        self.seed = seed
-        self.rates = {
-            WireFaultKind(kind): float(rate) for kind, rate in rates.items()
-        }
-        total = sum(self.rates.values())
-        if total > 1.0 + 1e-9:
-            raise ValueError(f"wire fault rates sum to {total}, above 1.0")
-        self.base_latency_ms = base_latency_ms
-        self._rng = random.Random(seed)
-        self.requests_seen = 0
-        self.faults_scheduled = 0
-
-    @classmethod
-    def single(cls, seed, kind, rate, **kwargs):
-        """A plan injecting only ``kind`` at ``rate``."""
-        return cls(seed, {WireFaultKind(kind): rate}, **kwargs)
-
-    def derive(self, *labels):
-        """A fresh plan with the same rates and a label-derived seed."""
-        return WireFaultPlan(
-            derive_seed(self.seed, *labels),
-            dict(self.rates),
-            base_latency_ms=self.base_latency_ms,
-        )
-
-    def next_event(self):
-        """The injection decision for the next request (None = clean)."""
-        self.requests_seen += 1
-        draw = self._rng.random()
-        cumulative = 0.0
-        for kind in WireFaultKind:
-            cumulative += self.rates.get(kind, 0.0)
-            if draw < cumulative:
-                self.faults_scheduled += 1
-                return kind
-        return None
 
 
 # -- one-shot fault listeners --------------------------------------------------
@@ -217,14 +143,14 @@ def _behave_bad_chunk(conn):
 
 
 _BEHAVIORS = {
-    WireFaultKind.RESET: _behave_reset,
-    WireFaultKind.SLOWLORIS: _behave_slowloris,
-    WireFaultKind.HALF_CLOSE: _behave_half_close,
-    WireFaultKind.TRUNCATION: _behave_truncation,
-    WireFaultKind.GARBAGE_FRAMING: _behave_garbage,
-    WireFaultKind.HEADER_OVERFLOW: _behave_header_overflow,
-    WireFaultKind.DUPLICATE_HEADER: _behave_duplicate_header,
-    WireFaultKind.BAD_CHUNK: _behave_bad_chunk,
+    FaultKind.RESET: _behave_reset,
+    FaultKind.SLOWLORIS: _behave_slowloris,
+    FaultKind.HALF_CLOSE: _behave_half_close,
+    FaultKind.TRUNCATION: _behave_truncation,
+    FaultKind.GARBAGE_FRAMING: _behave_garbage,
+    FaultKind.HEADER_OVERFLOW: _behave_header_overflow,
+    FaultKind.DUPLICATE_HEADER: _behave_duplicate_header,
+    FaultKind.BAD_CHUNK: _behave_bad_chunk,
 }
 
 
@@ -236,7 +162,7 @@ def oneshot_fault_listener(kind):
     the pathology, and exits — it can never outlive its request by more
     than the bounded timeouts, so a sweep leaves no orphaned threads.
     """
-    behavior = _BEHAVIORS[WireFaultKind(kind)]
+    behavior = _BEHAVIORS[FaultKind(kind)]
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind(("127.0.0.1", 0))
@@ -267,56 +193,20 @@ def oneshot_fault_listener(kind):
     return host, port, thread
 
 
-class WireFaultingTransport:
-    """Wraps a :class:`WireTransport`; injects scheduled socket faults.
+def post_to_fault_listener(kind, url, body, headers):
+    """Post one request to a one-shot listener misbehaving per ``kind``.
 
-    A clean request flows to the wrapped transport untouched (stamping
-    the plan's simulated base latency, exactly like the in-memory chaos
-    wrapper).  A scheduled fault instead dials a one-shot misbehaving
-    listener with the same request bytes, so the classified error the
-    client raises comes from a genuine socket pathology, not a mock.
+    Every current pathology makes the client raise its classified
+    :class:`~repro.runtime.transport.TransportError`; a kind that hands
+    back a parseable-but-wrong response would return it.
     """
-
-    def __init__(self, inner, plan):
-        self.inner = inner
-        self.plan = plan
-        self.faults_injected = {kind: 0 for kind in WireFaultKind}
-
-    @property
-    def total_faults_injected(self):
-        return sum(self.faults_injected.values())
-
-    def register(self, url, handler):
-        return self.inner.register(url, handler)
-
-    def unregister(self, url):
-        self.inner.unregister(url)
-
-    def post(self, url, body, headers=None):
-        kind = self.plan.next_event()
-        if kind is None:
-            response = self.inner.post(url, body, headers)
-            if not response.elapsed_ms:
-                response.elapsed_ms = self.plan.base_latency_ms
-            return response
-
-        self.faults_injected[kind] += 1
-        host, port, thread = oneshot_fault_listener(kind)
-        # A client of its own: the fault connection is never kept, and
-        # the inner transport's kept connection stays untouched.
-        client = WireClient()
-        timeout = (
-            SLOWLORIS_DEADLINE if kind is WireFaultKind.SLOWLORIS else None
-        )
-        try:
-            response = client.post(
-                host, port, url, body, headers, timeout=timeout
-            )
-        finally:
-            client.close()
-            thread.join(timeout=_LISTENER_TIMEOUT)
-        # Unreachable for every current pathology (all of them raise a
-        # classified TransportError), kept total for future kinds that
-        # hand back a parseable-but-wrong response.
-        response.elapsed_ms = self.plan.base_latency_ms
-        return response
+    host, port, thread = oneshot_fault_listener(kind)
+    # A client of its own: the fault connection is never kept, and the
+    # wrapped transport's kept connection stays untouched.
+    client = WireClient()
+    timeout = SLOWLORIS_DEADLINE if kind is FaultKind.SLOWLORIS else None
+    try:
+        return client.post(host, port, url, body, headers, timeout=timeout)
+    finally:
+        client.close()
+        thread.join(timeout=_LISTENER_TIMEOUT)

@@ -182,12 +182,13 @@ def _service_of(event, events):
 
 
 def _drill_resilience(config, server_id, client_id, kind, rate, trace_id):
-    from repro.faults.campaign import ResilienceCampaign, fault_kind_of
+    from repro.faults.campaign import ResilienceCampaign
+    from repro.faults.plan import FaultKind
 
     narrowed = ResilienceCampaign(replace(
         config,
         base=_narrow_base(config.base, server_id, client_id),
-        fault_kinds=(fault_kind_of(kind),),
+        fault_kinds=(FaultKind(kind),),
         rates=(float(rate),),
     ))
     factory = _RecorderFactory()

@@ -34,7 +34,6 @@ from repro.reporting.profile import (
     critical_path_rows,
     render_profile,
     stage_latency_rows,
-    worker_utilization_rows,
 )
 from repro.reporting.regress import (
     drift_rows,
@@ -55,7 +54,7 @@ from repro.reporting.supervision import (
     render_pool_summary,
     supervision_rows,
     supervision_to_json,
-    worker_utilization_rows as pool_utilization_rows,
+    worker_utilization_rows,
 )
 from repro.reporting.tables import (
     render_table,
@@ -81,7 +80,6 @@ __all__ = [
     "critical_path_rows",
     "perf_diff_rows",
     "perf_diff_to_json",
-    "pool_utilization_rows",
     "render_perf_diff",
     "render_perf_trend",
     "render_pool_summary",

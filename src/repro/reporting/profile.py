@@ -10,6 +10,7 @@ rolled up under their server), and what each pool worker was doing
 
 from __future__ import annotations
 
+from repro.reporting.supervision import worker_utilization_rows
 from repro.reporting.tables import render_table
 
 #: Stage rows are ordered by where they sit in the lifecycle, with
@@ -64,21 +65,6 @@ def wire_rows(trace):
             f"{histogram.total:.1f}",
         )
         for part, histogram in wire_histograms(trace).items()
-    ]
-
-
-def worker_utilization_rows(trace):
-    """Per-worker rows from the trace's ``worker`` lines."""
-    return [
-        (
-            row["worker"],
-            f"{row['busy_pct']:.1f}%",
-            f"{row['idle_pct']:.1f}%",
-            f"{row['killed_pct']:.1f}%",
-            row["units"],
-            row["outcome"],
-        )
-        for row in sorted(trace["workers"], key=lambda row: row["worker"])
     ]
 
 
@@ -171,7 +157,7 @@ def render_profile(trace, top=10):
                 title=f"Top {len(service_rows)} slowest services",
             )
         )
-    utilization = worker_utilization_rows(trace)
+    utilization = worker_utilization_rows(trace["workers"])
     if utilization:
         out.append(
             render_table(

@@ -30,8 +30,9 @@ def supervision_rows(stats):
     ]
 
 
-def worker_utilization_rows(stats):
-    """Per-worker busy/idle/killed rows from the heartbeat timeline."""
+def worker_utilization_rows(timeline):
+    """Per-worker busy/idle/killed rows, by worker, from utilization
+    records (a pool's ``worker_timeline`` or a trace's ``workers``)."""
     return [
         (
             row["worker"],
@@ -41,7 +42,7 @@ def worker_utilization_rows(stats):
             row["units"],
             row["outcome"],
         )
-        for row in stats.worker_timeline
+        for row in sorted(timeline, key=lambda row: row["worker"])
     ]
 
 
@@ -55,7 +56,7 @@ def render_pool_summary(stats):
     if stats.worker_timeline:
         out += "\n\n" + render_table(
             ("Worker", "Busy", "Idle", "Killed", "Units", "Outcome"),
-            worker_utilization_rows(stats),
+            worker_utilization_rows(stats.worker_timeline),
             title="Worker utilization",
         )
     if stats.failures:

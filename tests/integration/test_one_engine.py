@@ -23,12 +23,12 @@ from repro.core import Campaign, CampaignConfig, sharding
 from repro.core.extended import LifecycleCampaign
 from repro.core.store import CampaignCheckpoint, result_to_obj
 from repro.faults import (
+    FaultKind,
     FuzzCampaign,
     FuzzCampaignConfig,
     MutationKind,
     ResilienceCampaign,
     ResilienceCampaignConfig,
-    WireFaultKind,
 )
 from repro.frameworks.client import SudsClient
 from repro.reporting import fuzz_to_json, resilience_to_json
@@ -180,7 +180,7 @@ class TestPooledMatchesSerial:
         config = ResilienceCampaignConfig(
             base=_base(transport="wire"),
             seed=7,
-            fault_kinds=(WireFaultKind.RESET,),
+            fault_kinds=(FaultKind.RESET,),
             rates=(0.5,),
             sample_per_server=1,
         )

@@ -3,7 +3,8 @@
 Each test pins one count that must not grow with the number of clients
 or with the size of the deployed corpus:
 
-* a fuzz mutant is read once, however many clients drive it;
+* a fuzz mutant is read once, however many clients drive it, and a
+  dynamic client instantiates its proxy once, inside ``generate``;
 * ``invoke``, ``resilience`` and ``lifecycle-campaign`` read each
   sampled record once per unit, and every client shares that read;
 * an echoed response is parsed once, by the client proxy — the
@@ -99,6 +100,33 @@ class TestFuzzReadsEachMutantOnce:
         assert len(driven) > len(mutants_read) > 0
         assert len(reads) == len(mutants_read)
         assert result.unclassified_total == 0
+
+
+class TestFuzzInstantiatesOnce:
+    def test_a_dynamic_clients_trace_holds_no_instantiate_span(self):
+        """``generate`` already instantiates a dynamic client's proxy,
+        so the fuzz pipeline runs no second, guarded instantiate."""
+        config = FuzzCampaignConfig(
+            base=_quick_config(
+                server_ids=("metro",), client_ids=("zend", "suds"),
+            ),
+            sample_per_server=2,
+        )
+        tracer = Tracer(trace_id_for("fuzz", config.fingerprint()))
+        with activate(tracer):
+            FuzzCampaign(config).run()
+        spans = [event for event in tracer.events if event["type"] == "span"]
+        survived = [
+            span for span in spans
+            if span["name"] == "mutant"
+            and (span["notes"] or {}).get("bucket") == "clean"
+            and not span["notes"]["rejected"]
+        ]
+        assert {span["attrs"]["client"] for span in survived} == {
+            "zend", "suds",
+        }
+        assert [span for span in spans if span["name"] == "generate"]
+        assert not [span for span in spans if span["name"] == "instantiate"]
 
 
 def _traced_read_spans(kind, config, campaign):

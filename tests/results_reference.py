@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.core.store import QuarantineRegistry
-from repro.faults.campaign import fault_kind_of
+from repro.faults.plan import FaultKind
 from repro.faults.corpus import MutationKind
 from repro.invoke.payloads import PayloadClass
 
@@ -389,7 +389,7 @@ def merge_resilience(rconfig, ordered):
         server_ids=tuple(rconfig.base.server_ids),
         client_ids=tuple(rconfig.base.client_ids),
         fault_kinds=tuple(
-            fault_kind_of(kind).value for kind in rconfig.fault_kinds
+            FaultKind(kind).value for kind in rconfig.fault_kinds
         ),
         rates=tuple(repr(float(rate)) for rate in rconfig.rates),
         seed=rconfig.seed,

@@ -30,9 +30,7 @@ class TestParser:
         args = build_parser().parse_args(["run", "--quick", "--csv", "x.csv"])
         assert args.quick and args.csv == "x.csv"
 
-    @pytest.mark.parametrize(
-        "command", ["run", "resilience", "invoke", "regress"]
-    )
+    @pytest.mark.parametrize("command", ["resilience", "invoke", "regress"])
     def test_transport_flag(self, command):
         extra = (
             ["--baseline-dir", "b"] if command == "regress" else []
@@ -46,7 +44,7 @@ class TestParser:
 
     def test_transport_choices_are_closed(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--transport", "pigeon"])
+            build_parser().parse_args(["invoke", "--transport", "pigeon"])
 
 
 class TestTransportGuards:
@@ -61,6 +59,19 @@ class TestTransportGuards:
         assert rc == 2
         err = capsys.readouterr().err
         assert "http-503" in err and "slowloris" in err
+
+    def test_default_kinds_are_the_six_response_level_kinds(self):
+        from repro.faults import DEFAULT_FAULT_KINDS, FaultKind
+
+        config = cli._resilience_config(
+            build_parser().parse_args(["resilience", "--quick"])
+        )
+        assert config.fault_kinds == DEFAULT_FAULT_KINDS
+        assert [kind.value for kind in config.fault_kinds] == [
+            "connection-refused", "http-500", "http-503", "latency",
+            "truncated-body", "malformed-envelope",
+        ]
+        assert len(FaultKind) > len(config.fault_kinds)
 
     def test_mixed_kinds_accepted_with_wire_transport(self):
         args = build_parser().parse_args(

@@ -30,7 +30,7 @@ def _deployed():
 
 class TestFaultPlan:
     def test_same_seed_same_schedule(self):
-        rates = {FaultKind.HTTP_500: 0.2, FaultKind.LATENCY: 0.1}
+        rates = {kind: 0.05 for kind in FaultKind}
         a = FaultPlan(seed=42, rates=rates)
         b = FaultPlan(seed=42, rates=rates)
         assert [a.next_event() for _ in range(200)] == [
@@ -57,8 +57,12 @@ class TestFaultPlan:
         )
 
     def test_rates_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan(0, {FaultKind.HTTP_500: 0.7, FaultKind.HTTP_503: 0.6})
+        for first, second in (
+            (FaultKind.HTTP_500, FaultKind.HTTP_503),
+            (FaultKind.LATENCY, FaultKind.SLOWLORIS),
+        ):
+            with pytest.raises(ValueError, match="above 1.0"):
+                FaultPlan(0, {first: 0.7, second: 0.6})
 
     def test_derive_seed_is_stable_and_label_sensitive(self):
         assert derive_seed(1, "a", "b") == derive_seed(1, "a", "b")
@@ -69,6 +73,27 @@ class TestFaultPlan:
         plan = FaultPlan.single(123, FaultKind.HTTP_503, 0.3)
         faults = sum(plan.next_event() is not None for _ in range(2000))
         assert 0.25 < faults / 2000 < 0.35
+
+    @pytest.mark.parametrize("kind", FaultKind, ids=lambda kind: kind.value)
+    def test_schedule_is_seed_deterministic_for_every_kind(self, kind):
+        first = FaultPlan.single(42, kind, 0.5)
+        second = FaultPlan.single(42, kind, 0.5)
+        schedule = [first.next_event() for _ in range(50)]
+        assert schedule == [second.next_event() for _ in range(50)]
+        assert first.faults_scheduled == second.faults_scheduled > 0
+        assert {event.kind for event in schedule if event} == {kind}
+
+    @pytest.mark.parametrize("kind", FaultKind, ids=lambda kind: kind.value)
+    def test_rates_zero_and_one_hold_for_every_kind(self, kind):
+        never = FaultPlan.single(7, kind, 0.0)
+        assert all(never.next_event() is None for _ in range(100))
+        always = FaultPlan.single(7, kind, 1.0)
+        assert all(always.next_event().kind is kind for _ in range(50))
+
+    @pytest.mark.parametrize("kind", FaultKind, ids=lambda kind: kind.value)
+    def test_single_accepts_every_kind_as_a_string(self, kind):
+        plan = FaultPlan.single(1, kind.value, 1.0)
+        assert plan.next_event().kind is kind
 
 
 class TestFaultingTransport:

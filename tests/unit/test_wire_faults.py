@@ -1,6 +1,6 @@
-"""Unit tests for socket-level fault injection and the shared taxonomy.
+"""Unit tests for the socket fault kinds and the one fault taxonomy.
 
-Satellite guarantee under test: every wire pathology raises exactly one
+Guarantee under test: every wire pathology raises exactly one
 classified exception from the transport taxonomy shared with the
 in-memory stack — the property that makes zero unclassified triage
 escapes automatic.
@@ -11,14 +11,11 @@ import threading
 import pytest
 
 from repro.faults import (
+    DEFAULT_FAULT_KINDS,
     DEFAULT_WIRE_FAULT_KINDS,
     FaultKind,
     FaultPlan,
     FaultingTransport,
-    WireFaultKind,
-    WireFaultPlan,
-    WireFaultingTransport,
-    fault_kind_of,
 )
 from repro.faults.wire import SLOWLORIS_DEADLINE, oneshot_fault_listener
 from repro.runtime import InMemoryHttpTransport, WireClient
@@ -36,14 +33,14 @@ from repro.runtime.transport import (
 
 #: The documented pathology -> classified error contract, in full.
 EXPECTED_ERRORS = {
-    WireFaultKind.RESET: ConnectionReset,
-    WireFaultKind.SLOWLORIS: DeadlineExceeded,
-    WireFaultKind.HALF_CLOSE: PrematureEOF,
-    WireFaultKind.TRUNCATION: PrematureEOF,
-    WireFaultKind.GARBAGE_FRAMING: BadStatusLine,
-    WireFaultKind.HEADER_OVERFLOW: HeaderOverflow,
-    WireFaultKind.DUPLICATE_HEADER: ProtocolError,
-    WireFaultKind.BAD_CHUNK: ChunkedEncodingError,
+    FaultKind.RESET: ConnectionReset,
+    FaultKind.SLOWLORIS: DeadlineExceeded,
+    FaultKind.HALF_CLOSE: PrematureEOF,
+    FaultKind.TRUNCATION: PrematureEOF,
+    FaultKind.GARBAGE_FRAMING: BadStatusLine,
+    FaultKind.HEADER_OVERFLOW: HeaderOverflow,
+    FaultKind.DUPLICATE_HEADER: ProtocolError,
+    FaultKind.BAD_CHUNK: ChunkedEncodingError,
 }
 
 
@@ -53,7 +50,7 @@ class TestOneshotListeners:
     def test_each_pathology_raises_its_classified_error(self, kind):
         host, port, thread = oneshot_fault_listener(kind)
         timeout = (
-            SLOWLORIS_DEADLINE if kind is WireFaultKind.SLOWLORIS else 5.0
+            SLOWLORIS_DEADLINE if kind is FaultKind.SLOWLORIS else 5.0
         )
         with pytest.raises(EXPECTED_ERRORS[kind]) as excinfo:
             WireClient(timeout=timeout).post(host, port, "/x", "<probe/>")
@@ -65,43 +62,23 @@ class TestOneshotListeners:
 
 
 class TestWireFaultPlan:
+    """The socket kinds of :class:`FaultPlan`."""
+
     def test_rates_above_one_rejected(self):
         with pytest.raises(ValueError, match="above 1.0"):
-            WireFaultPlan(7, {WireFaultKind.RESET: 0.6,
-                              WireFaultKind.TRUNCATION: 0.6})
-
-    def test_schedule_is_seed_deterministic(self):
-        rates = {kind: 0.1 for kind in WireFaultKind}
-        first = WireFaultPlan(42, rates)
-        second = WireFaultPlan(42, rates)
-        schedule = [first.next_event() for _ in range(50)]
-        assert schedule == [second.next_event() for _ in range(50)]
-        assert first.faults_scheduled == second.faults_scheduled
-
-    def test_derive_matches_fresh_plan_with_derived_seed(self):
-        from repro.faults.plan import derive_seed
-
-        plan = WireFaultPlan.single(9, WireFaultKind.RESET, 0.5)
-        derived = plan.derive("server", "client")
-        fresh = WireFaultPlan.single(
-            derive_seed(9, "server", "client"), WireFaultKind.RESET, 0.5
-        )
-        assert [derived.next_event() for _ in range(20)] == [
-            fresh.next_event() for _ in range(20)
-        ]
-
-    def test_single_accepts_string_kind(self):
-        plan = WireFaultPlan.single(1, "reset", 1.0)
-        assert plan.next_event() is WireFaultKind.RESET
+            FaultPlan(7, {FaultKind.RESET: 0.6,
+                          FaultKind.TRUNCATION: 0.6})
 
 
 class TestWireFaultingTransport:
+    """The socket kinds of :class:`FaultingTransport`."""
+
     def test_clean_request_passes_through_with_base_latency(self):
         inner = InMemoryHttpTransport()
         inner.register("http://x", lambda body, headers: "pong")
-        faulting = WireFaultingTransport(
-            inner, WireFaultPlan.single(3, WireFaultKind.RESET, 0.0,
-                                        base_latency_ms=5.0)
+        faulting = FaultingTransport(
+            inner, FaultPlan.single(3, FaultKind.RESET, 0.0,
+                                    base_latency_ms=5.0)
         )
         response = faulting.post("http://x", "ping")
         assert response.body == "pong"
@@ -111,12 +88,12 @@ class TestWireFaultingTransport:
     def test_scheduled_fault_raises_classified_and_counts(self):
         inner = InMemoryHttpTransport()
         inner.register("http://x", lambda body, headers: "pong")
-        faulting = WireFaultingTransport(
-            inner, WireFaultPlan.single(3, WireFaultKind.TRUNCATION, 1.0)
+        faulting = FaultingTransport(
+            inner, FaultPlan.single(3, FaultKind.TRUNCATION, 1.0)
         )
         with pytest.raises(PrematureEOF):
             faulting.post("http://x", "ping")
-        assert faulting.faults_injected[WireFaultKind.TRUNCATION] == 1
+        assert faulting.faults_injected[FaultKind.TRUNCATION] == 1
         assert not [
             thread.name for thread in threading.enumerate()
             if thread.name.startswith("wire-fault-")
@@ -147,8 +124,8 @@ class TestFaultsBesideAKeptConnection:
             assert inner.post("http://x", "ping").body == "pong"
             server_port = inner.server_address[1]
             for kind in DEFAULT_WIRE_FAULT_KINDS:
-                faulting = WireFaultingTransport(
-                    inner, WireFaultPlan.single(3, kind, 1.0)
+                faulting = FaultingTransport(
+                    inner, FaultPlan.single(3, kind, 1.0)
                 )
                 with pytest.raises(EXPECTED_ERRORS[kind]):
                     faulting.post("http://x", "ping")
@@ -197,21 +174,28 @@ class TestSharedTaxonomy:
 
 
 class TestFaultKindCoercion:
+    """Kind strings of both groups coerce into the one taxonomy."""
+
     def test_memory_kind_strings(self):
-        assert fault_kind_of("http-503") is FaultKind.HTTP_503
+        assert FaultKind("http-503") is FaultKind.HTTP_503
 
     def test_wire_kind_strings(self):
-        assert fault_kind_of("slowloris") is WireFaultKind.SLOWLORIS
+        assert FaultKind("slowloris") is FaultKind.SLOWLORIS
 
     def test_enum_values_pass_through(self):
-        assert fault_kind_of(FaultKind.LATENCY) is FaultKind.LATENCY
-        assert fault_kind_of(WireFaultKind.RESET) is WireFaultKind.RESET
+        assert FaultKind(FaultKind.LATENCY) is FaultKind.LATENCY
+        assert FaultKind(FaultKind.RESET) is FaultKind.RESET
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            fault_kind_of("carrier-pigeon")
+            FaultKind("carrier-pigeon")
 
     def test_taxonomies_are_disjoint(self):
-        memory = {kind.value for kind in FaultKind}
-        wire = {kind.value for kind in WireFaultKind}
-        assert not memory & wire
+        """The response-level and socket kinds split the taxonomy, each
+        group in taxonomy order, response-level first."""
+        assert set(DEFAULT_FAULT_KINDS).isdisjoint(DEFAULT_WIRE_FAULT_KINDS)
+        assert DEFAULT_FAULT_KINDS + DEFAULT_WIRE_FAULT_KINDS == tuple(
+            FaultKind
+        )
+        assert len(DEFAULT_FAULT_KINDS) == 6
+        assert len(DEFAULT_WIRE_FAULT_KINDS) == 8
