@@ -19,13 +19,7 @@ from repro.appservers import container_for
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.cells import CellMatrix, Counters, cells_to_obj
 from repro.core.outcomes import StepStatus
-from repro.core.sharding import (
-    CAMPAIGN_LIFECYCLE,
-    SERIAL,
-    ShardJob,
-    execute_sharded,
-)
-from repro.frameworks.registry import all_client_frameworks
+from repro.core.sharding import CAMPAIGN_LIFECYCLE, ShardJob
 from repro.obs.trace import current_tracer
 from repro.runtime import InMemoryHttpTransport, run_full_lifecycle
 from repro.runtime.lifecycle import SharedReads
@@ -126,7 +120,7 @@ class LifecycleCampaignResult(CellMatrix):
         return self.totals()["completed"] / tests
 
 
-class LifecycleCampaign:
+class LifecycleCampaign(Campaign):
     """Runs the five-step lifecycle over (a sample of) the corpus.
 
     ``sample_per_server`` bounds how many deployed services per server go
@@ -135,6 +129,10 @@ class LifecycleCampaign:
     front of the catalogs — are always covered.  ``config`` is a
     :class:`CampaignConfig`, or a :class:`LifecycleCampaignConfig` that
     carries the sample itself (the form the engine builds from a job).
+
+    It is also the base of the three other sampled sweeps.  No sampled
+    kind's fingerprint names ``client_flag_overrides``, so a config that
+    sets them is refused rather than swept as if they applied.
     """
 
     def __init__(self, config=None, sample_per_server=None):
@@ -144,28 +142,15 @@ class LifecycleCampaign:
             raise ValueError(
                 f"sample_per_server must be >= 1, got {sample_per_server}"
             )
-        self.config = config or CampaignConfig()
+        super().__init__(config)
+        if self.config.client_flag_overrides:
+            raise ValueError(
+                "client_flag_overrides apply to the run campaign only; "
+                "the sampled sweeps do not take them"
+            )
         self.sample_per_server = sample_per_server
-        #: Builds (and caches) the catalogs and corpora every server's
-        #: deployment draws from.
-        self.base_campaign = Campaign(self.config)
 
     merge = LifecycleCampaignResult.merge
-
-    def _clients(self):
-        """The selected client frameworks, in registry order."""
-        return {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in self.config.client_ids
-        }
-
-    def run(self, progress=None, checkpoint=None):
-        """Execute the sweep in-process; see :meth:`Campaign.run`."""
-        return execute_sharded(
-            self.shard_job(), SERIAL, checkpoint=checkpoint,
-            progress=progress, campaign=self,
-        )[0]
 
     def shard_job(self):
         """This sweep as a :class:`~repro.core.sharding.ShardJob`: one
@@ -181,10 +166,10 @@ class LifecycleCampaign:
         Returns the unit payload: the sampled service count and the
         server's per-client cells.
         """
-        clients = self._clients()
         cells = {}
         reads = SharedReads()
-        with current_tracer().span("server", server=unit.server_id):
+        with self._prepared_clients() as clients, \
+                current_tracer().span("server", server=unit.server_id):
             selected = self._deploy_sample(unit.server_id)
             for record in selected:
                 transport = InMemoryHttpTransport()
@@ -203,7 +188,7 @@ class LifecycleCampaign:
         deployed records this sweep drives (:meth:`_select`)."""
         container = container_for(server_id)
         with current_tracer().span("deploy") as deploy_span:
-            container.deploy_corpus(self.base_campaign.corpus_for(server_id))
+            container.deploy_corpus(self.corpus_for(server_id))
             deploy_span.annotate(deployed=len(container.deployed))
         return self._select(container.deployed)
 

@@ -85,16 +85,8 @@ class PoolConfig:
     workers: int = 2
     #: SIGKILL a worker whose in-flight unit exceeds this wall clock.
     watchdog_seconds: float = 300.0
-    #: How often each worker's heartbeat thread beats.
-    heartbeat_seconds: float = 0.5
-    #: SIGKILL a busy worker whose heartbeat is older than this.
-    heartbeat_timeout_seconds: float = 30.0
     #: Crash-loop backoff: attempts per unit before it is poisoned.
     max_attempts: int = 2
-    #: Supervisor poll interval while waiting for worker messages.
-    poll_seconds: float = 0.05
-    #: ``multiprocessing`` start method; ``None`` auto-selects.
-    start_method: str = None
 
 
 #: The in-process engine configuration every ``Campaign.run`` uses.

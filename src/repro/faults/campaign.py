@@ -43,9 +43,9 @@ from repro.runtime import (
     close_transport,
     run_full_lifecycle,
 )
-from repro.runtime.lifecycle import SharedReads, guarded_read
+from repro.runtime.lifecycle import SharedReads, build_client, guarded_read
 from repro.runtime.wire import transport_factory_for, unit_transports
-from repro.runtime.guard import GuardedStep, GuardLimits, TriageBucket
+from repro.runtime.guard import GuardLimits, TriageBucket
 
 #: Default rate sweep: a light drizzle and a heavy storm.
 DEFAULT_RATES = (0.15, 0.35)
@@ -231,12 +231,12 @@ class ResilienceCampaign(LifecycleCampaign):
         """
         rconfig = self.rconfig
         server_id = unit.server_id
-        clients = self._clients()
         tracer = current_tracer()
         cells = {}
         reads = SharedReads()
         # One unit covers the whole server, so the server span is real.
-        with tracer.span("server", server=server_id), \
+        with self._prepared_clients() as clients, \
+                tracer.span("server", server=server_id), \
                 unit_transports(self.transport_factory) as new_transport:
             selected = self._deploy_sample(server_id)
             for kind in rconfig.fault_kinds:
@@ -487,10 +487,11 @@ class FuzzCampaign(LifecycleCampaign):
         tracer = current_tracer()
         cells = {}
         quarantine = QuarantineRegistry()
-        with tracer.span("server", server=unit.server_id) as server_span:
+        with self._prepared_clients() as clients, \
+                tracer.span("server", server=unit.server_id) as server_span:
             selected = self._deploy_sample(unit.server_id)
             finished = self._fuzz_server(
-                unit.server_id, selected, cells, quarantine
+                unit.server_id, selected, clients, cells, quarantine
             )
             if not finished:
                 server_span.annotate(aborted=True)
@@ -501,10 +502,9 @@ class FuzzCampaign(LifecycleCampaign):
             "finished": finished,
         }
 
-    def _fuzz_server(self, server_id, selected, cells, quarantine):
+    def _fuzz_server(self, server_id, selected, clients, cells, quarantine):
         """Fuzz one server's sample; returns False when fail-fast aborted."""
         fconfig = self.fconfig
-        clients = self._clients()
         mutator = WsdlMutator(fconfig.seed)
         limits = fconfig.guard_limits()
         tracer = current_tracer()
@@ -572,7 +572,7 @@ class FuzzCampaign(LifecycleCampaign):
         return guarded_read(mutant.text, limits)
 
     def _drive(self, read, client, limits):
-        """Guarded generate → compile pipeline over one mutant's ``read``.
+        """The client ladder (:func:`build_client`) over one mutant's ``read``.
 
         Returns ``(bucket, rejected, detail)``: the triage bucket, a
         flag marking a *classified* tool rejection (diagnostics, not an
@@ -580,23 +580,7 @@ class FuzzCampaign(LifecycleCampaign):
         """
         if not read.ok:
             return read.bucket, False, read.detail
-
-        generated = GuardedStep(
-            "generate", client.generate, limits=limits
-        ).run(read.value)
-        if not generated.ok:
-            return generated.bucket, False, generated.detail
-        generation = generated.value
-        if not generation.succeeded:
-            return TriageBucket.CLEAN, True, ""
-
-        # A dynamic client's generate already instantiated its proxy.
-        if client.requires_compilation:
-            compiled = GuardedStep(
-                "compile", client.compiler.compile, limits=limits
-            ).run(generation.bundle)
-            if not compiled.ok:
-                return compiled.bucket, False, compiled.detail
-            if not compiled.value.succeeded:
-                return TriageBucket.CLEAN, True, ""
-        return TriageBucket.CLEAN, False, ""
+        built = build_client(read.value, client, limits)
+        if built.verdict is not None:
+            return built.verdict.bucket, False, built.verdict.detail
+        return TriageBucket.CLEAN, not built.ok, ""

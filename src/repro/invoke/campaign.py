@@ -232,7 +232,7 @@ class InvocationCampaign(LifecycleCampaign):
     merge = InvocationCampaignResult.merge
 
     def run(self, progress=None, checkpoint=None):
-        """Execute the sweep in-process; see :meth:`Campaign.run`."""
+        """:meth:`Campaign.run`, noting a filter that matched nothing."""
         result = super().run(progress=progress, checkpoint=checkpoint)
         if progress and not result.services_matched \
                 and self.iconfig.service_filter:
@@ -343,7 +343,6 @@ class InvocationCampaign(LifecycleCampaign):
         server's gate counters and cells, and its quarantine entries.
         """
         server_id = unit.server_id
-        clients = self._clients()
         generator = self._generator()
         limits = self.iconfig.guard_limits()
         tracer = current_tracer()
@@ -351,7 +350,8 @@ class InvocationCampaign(LifecycleCampaign):
         gates = {}
         quarantine = QuarantineRegistry()
         reads = SharedReads(limits)
-        with tracer.span("server", server=server_id), \
+        with self._prepared_clients() as clients, \
+                tracer.span("server", server=server_id), \
                 unit_transports(self.transport_factory) as new_transport:
             selected = self._deploy_sample(server_id)
             for record in selected:

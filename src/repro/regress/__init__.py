@@ -8,16 +8,12 @@ explained by its recorded exchanges and trace span IDs.
 
 from repro.regress.baseline import REACCEPT_HINT, BaselineError, BaselineStore
 from repro.regress.diff import (
-    CellDiff,
     DriftClass,
     DriftEntry,
     UnclassifiedDriftError,
     classify_cell,
     diff_matrices,
-    diff_results,
-    diff_totals,
     perturb_matrix,
-    results_equivalent,
     totals_delta,
 )
 from repro.regress.drilldown import CellDrilldown, drill_cell, drill_entries
@@ -38,17 +34,13 @@ __all__ = [
     "REACCEPT_HINT",
     "BaselineError",
     "BaselineStore",
-    "CellDiff",
     "CellDrilldown",
     "DriftClass",
     "DriftEntry",
     "UnclassifiedDriftError",
     "classify_cell",
     "diff_matrices",
-    "diff_results",
-    "diff_totals",
     "perturb_matrix",
-    "results_equivalent",
     "totals_delta",
     "drill_cell",
     "drill_entries",

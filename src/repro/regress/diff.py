@@ -19,12 +19,8 @@ one of the six classes or raises :class:`UnclassifiedDriftError`, which
 the CLI turns into exit 3 — an unclassifiable delta is a harness bug,
 never a silent skip.  Diff output is canonically ordered (by cell key),
 so the same pair of matrices always yields byte-identical reports.
-
-This module also absorbs the retired ``repro.core.diffing``: the legacy
-cell/counter diff over two :class:`~repro.core.results.CampaignResult`
-objects lives on as :func:`diff_results` / :func:`diff_totals` /
-:func:`results_equivalent`, and the counter-delta view doubles as the
-drift report's summary header (:func:`totals_delta`).
+The headline counters move under :func:`totals_delta`, the drift
+report's summary header.
 """
 
 from __future__ import annotations
@@ -219,64 +215,3 @@ def perturb_matrix(campaign, cells):
         cell["status"] = STATUS_FAIL
     return perturbed, f"{target} {metric} += 1"
 
-
-# -- legacy result-object diffing (absorbed from core/diffing) ---------------
-
-_LEGACY_METRICS = ("gen_warnings", "gen_errors", "comp_warnings", "comp_errors")
-
-
-@dataclass(frozen=True)
-class CellDiff:
-    """One changed Table III cell (legacy counter view)."""
-
-    server_id: str
-    client_id: str
-    metric: str
-    before: int
-    after: int
-
-    @property
-    def delta(self):
-        return self.after - self.before
-
-    def __str__(self):
-        sign = "+" if self.delta > 0 else ""
-        return (
-            f"{self.server_id}/{self.client_id} {self.metric}: "
-            f"{self.before} -> {self.after} ({sign}{self.delta})"
-        )
-
-
-def diff_results(before, after):
-    """All cell-level differences between two campaign results.
-
-    Only cells present in both results are compared; rows come back
-    sorted by (server, client, metric).
-    """
-    diffs = []
-    for key in sorted(set(before.cells) & set(after.cells)):
-        server_id, client_id = key
-        old_row = before.cells[key].as_row()
-        new_row = after.cells[key].as_row()
-        for metric, old_value, new_value in zip(_LEGACY_METRICS, old_row, new_row):
-            if old_value != new_value:
-                diffs.append(
-                    CellDiff(server_id, client_id, metric, old_value, new_value)
-                )
-    return diffs
-
-
-def diff_totals(before, after):
-    """Headline counter movements: ``{metric: (before, after)}``."""
-    old_totals = before.totals()
-    new_totals = after.totals()
-    return {
-        key: (old_totals[key], new_totals[key])
-        for key in old_totals
-        if key in new_totals and old_totals[key] != new_totals[key]
-    }
-
-
-def results_equivalent(before, after):
-    """True when both runs agree cell-for-cell and total-for-total."""
-    return not diff_results(before, after) and not diff_totals(before, after)

@@ -145,15 +145,20 @@ class GuardedStep:
             )
 
     def run(self, *args, **kwargs):
-        # The span opens and closes on the driving thread; an abandoned
-        # deadline thread never touches the tracer.
+        deadline = self.limits.deadline_seconds
+        # The deadline worker is ready before the span opens, so the span
+        # times the step and not a thread start.  The span opens and
+        # closes on the driving thread; an abandoned deadline thread
+        # never touches the tracer.
+        worker = None if deadline is None else _deadline_worker()
         with current_tracer().span(self.name) as span:
             started = time.perf_counter()
-            deadline = self.limits.deadline_seconds
-            if deadline is None:
+            if worker is None:
                 outcome = self._call(args, kwargs)
             else:
-                outcome = self._call_with_deadline(args, kwargs, deadline)
+                outcome = self._call_with_deadline(
+                    worker, args, kwargs, deadline
+                )
             outcome.elapsed_seconds = time.perf_counter() - started
             span.annotate(bucket=outcome.bucket.value)
             if outcome.detail:
@@ -172,8 +177,7 @@ class GuardedStep:
             )
         return GuardVerdict(step=self.name, bucket=TriageBucket.CLEAN, value=value)
 
-    def _call_with_deadline(self, args, kwargs, deadline):
-        worker = _deadline_worker()
+    def _call_with_deadline(self, worker, args, kwargs, deadline):
         worker.jobs.put((self._call, args, kwargs))
         outcome = None
         try:

@@ -39,10 +39,6 @@ class LifecycleOutcome:
         return self.execution in (StepStatus.OK, StepStatus.WARNING)
 
 
-def _triage_detail(verdict):
-    return f"[{verdict.bucket.value}] {verdict.detail}"
-
-
 def _read_description(text, xml_limits):
     """What every wsdl2code tool does first: parse the downloaded WSDL."""
     return read_wsdl(parse_xml(text, limits=xml_limits))
@@ -92,27 +88,87 @@ class SharedReads:
         return entry[1]
 
 
-def _failed(service_name, client_id, step, generation=StepStatus.ERROR,
-            compilation=StepStatus.SKIPPED, detail="", triage=""):
-    """A lifecycle outcome for a guard failure at ``step``."""
-    statuses = {
-        "generation": StepStatus.SKIPPED,
-        "compilation": StepStatus.SKIPPED,
-        "communication": StepStatus.SKIPPED,
-        "execution": StepStatus.SKIPPED,
-    }
-    statuses["generation"] = generation
-    statuses["compilation"] = compilation
-    statuses[step] = StepStatus.ERROR
+#: The lifecycle steps an outcome classifies, in order.
+_STEPS = ("generation", "compilation", "communication", "execution")
+
+
+def _outcome(service_name, client_id, statuses, detail="", verdict=None):
+    """A lifecycle outcome: ``statuses`` of the steps that ran, SKIPPED
+    for the rest.  A failed guard's ``verdict`` gives the detail and the
+    triage bucket."""
+    triage = ""
+    if verdict is not None:
+        triage = verdict.bucket.value
+        detail = f"[{triage}] {verdict.detail}"
     return LifecycleOutcome(
         service_name, client_id,
-        generation=statuses["generation"],
-        compilation=statuses["compilation"],
-        communication=statuses["communication"],
-        execution=statuses["execution"],
-        detail=detail,
-        triage=triage,
+        **{step: statuses.get(step, StepStatus.SKIPPED) for step in _STEPS},
+        detail=detail, triage=triage,
     )
+
+
+def _status(result):
+    return StepStatus.WARNING if result.warnings else StepStatus.OK
+
+
+@dataclass
+class ClientBuild:
+    """What :func:`build_client` made of one document for one client.
+
+    ``statuses`` holds the status of each step that ran, the failed one
+    as ERROR.  On failure ``failed`` names that step, and either
+    ``verdict`` is the guard's verdict (the step raised, timed out or
+    blew a budget) or ``errors`` holds the tool's error diagnostics (a
+    classified rejection).
+    """
+
+    statuses: dict
+    bundle: object = None
+    failed: str = ""
+    verdict: GuardVerdict = None
+    errors: list = ()
+
+    @property
+    def ok(self):
+        return not self.failed
+
+
+def build_client(document, client, limits):
+    """Steps 2–3 under guards: ``generate``, then ``compile`` when the
+    client compiles; an error at a step suppresses the step after it.
+
+    The one client ladder of every sampled sweep: the lifecycle gate
+    (:func:`prepare_client_proxy`) and the fuzz pipeline both climb it.
+    """
+    statuses = {"generation": StepStatus.ERROR}
+    generated = GuardedStep("generate", client.generate, limits=limits).run(
+        document
+    )
+    if not generated.ok:
+        return ClientBuild(statuses, failed="generation", verdict=generated)
+    generation = generated.value
+    if not generation.succeeded:
+        return ClientBuild(
+            statuses, failed="generation", errors=generation.errors
+        )
+    statuses["generation"] = _status(generation)
+    bundle = generation.bundle
+    if not client.requires_compilation:
+        # A dynamic client's generate already instantiated its proxy.
+        statuses["compilation"] = StepStatus.NOT_APPLICABLE
+        return ClientBuild(statuses, bundle)
+    statuses["compilation"] = StepStatus.ERROR
+    compiled = GuardedStep(
+        "compile", client.compiler.compile, limits=limits
+    ).run(bundle)
+    if not compiled.ok:
+        return ClientBuild(statuses, bundle, "compilation", verdict=compiled)
+    if not compiled.value.succeeded:
+        return ClientBuild(
+            statuses, bundle, "compilation", errors=compiled.value.errors
+        )
+    statuses["compilation"] = _status(compiled.value)
+    return ClientBuild(statuses, bundle)
 
 
 @dataclass
@@ -121,15 +177,15 @@ class ClientGate:
 
     ``failure`` carries the fully-classified :class:`LifecycleOutcome`
     when any gated step failed; on success ``document`` and ``proxy``
-    are live and the echo endpoint is mounted on the transport.
+    are live, ``statuses`` holds the generation and compilation
+    statuses, and the echo endpoint is mounted on the transport.
     """
 
     service_name: str
     client_id: str
     document: object = None
     proxy: object = None
-    generation: StepStatus = StepStatus.SKIPPED
-    compilation: StepStatus = StepStatus.SKIPPED
+    statuses: dict = None
     failure: LifecycleOutcome | None = None
 
     @property
@@ -155,100 +211,38 @@ def prepare_client_proxy(deployment_record, client, client_id="",
     transport = transport or InMemoryHttpTransport()
     service_name = getattr(deployment_record.service, "name", "")
 
-    def gate_failed(outcome):
-        return ClientGate(outcome.service_name, client_id, failure=outcome)
+    def failed(statuses, detail="", verdict=None):
+        return ClientGate(service_name, client_id, failure=_outcome(
+            service_name, client_id, statuses, detail, verdict,
+        ))
 
     read = (reads or SharedReads(limits))(deployment_record)
     if not read.ok:
         # Reading the description is the first thing every wsdl2code
         # tool does, so a read failure is a generation-step error.
-        return gate_failed(_failed(
-            service_name, client_id, "generation",
-            detail=_triage_detail(read),
-            triage=read.bucket.value,
-        ))
+        return failed({"generation": StepStatus.ERROR}, verdict=read)
     document = read.value
     service_name = document.name or service_name
 
-    generated = GuardedStep("generate", client.generate, limits=limits).run(
-        document
-    )
-    if not generated.ok:
-        return gate_failed(_failed(
-            service_name, client_id, "generation",
-            detail=_triage_detail(generated),
-            triage=generated.bucket.value,
-        ))
-    generation = generated.value
-    if not generation.succeeded:
-        return gate_failed(LifecycleOutcome(
-            service_name, client_id,
-            generation=StepStatus.ERROR,
-            compilation=StepStatus.SKIPPED,
-            communication=StepStatus.SKIPPED,
-            execution=StepStatus.SKIPPED,
-            detail="; ".join(str(d) for d in generation.errors[:3]),
-        ))
-    generation_status = (
-        StepStatus.WARNING if generation.warnings else StepStatus.OK
-    )
-
-    compilation_status = StepStatus.NOT_APPLICABLE
-    if client.requires_compilation:
-        compiled = GuardedStep(
-            "compile", client.compiler.compile, limits=limits
-        ).run(generation.bundle)
-        if not compiled.ok:
-            return gate_failed(_failed(
-                service_name, client_id, "compilation",
-                generation=generation_status,
-                detail=_triage_detail(compiled),
-                triage=compiled.bucket.value,
-            ))
-        compilation = compiled.value
-        if not compilation.succeeded:
-            return gate_failed(LifecycleOutcome(
-                service_name, client_id,
-                generation=generation_status,
-                compilation=StepStatus.ERROR,
-                communication=StepStatus.SKIPPED,
-                execution=StepStatus.SKIPPED,
-                detail="; ".join(str(d) for d in compilation.errors[:3]),
-            ))
-        compilation_status = (
-            StepStatus.WARNING if compilation.warnings else StepStatus.OK
+    built = build_client(document, client, limits)
+    if not built.ok:
+        return failed(
+            built.statuses, "; ".join(str(d) for d in built.errors[:3]),
+            built.verdict,
         )
 
-    endpoint = EchoServiceEndpoint(deployment_record)
-    endpoint.mount(transport)
+    EchoServiceEndpoint(deployment_record).mount(transport)
     proxied = GuardedStep(
         "proxy", GeneratedClientProxy, limits=limits
-    ).run(generation.bundle, document, transport)
+    ).run(built.bundle, document, transport)
+    broken = {**built.statuses, "communication": StepStatus.ERROR}
     if not proxied.ok:
-        return gate_failed(_failed(
-            service_name, client_id, "communication",
-            generation=generation_status,
-            compilation=compilation_status,
-            detail=_triage_detail(proxied),
-            triage=proxied.bucket.value,
-        ))
-    proxy = proxied.value
-    if not document.operations or not proxy.operations:
-        return gate_failed(LifecycleOutcome(
-            service_name, client_id,
-            generation=generation_status,
-            compilation=compilation_status,
-            communication=StepStatus.ERROR,
-            execution=StepStatus.SKIPPED,
-            detail="generated client exposes no operations",
-        ))
-
+        return failed(broken, verdict=proxied)
+    if not document.operations or not proxied.value.operations:
+        return failed(broken, "generated client exposes no operations")
     return ClientGate(
-        service_name, client_id,
-        document=document,
-        proxy=proxy,
-        generation=generation_status,
-        compilation=compilation_status,
+        service_name, client_id, document=document, proxy=proxied.value,
+        statuses=built.statuses,
     )
 
 
@@ -294,30 +288,22 @@ def _run_full_lifecycle(deployment_record, client, client_id="", transport=None,
     )
     if not gate.ok:
         return gate.failure
-    document, proxy = gate.document, gate.proxy
-    service_name = gate.service_name
-    generation_status, compilation_status = gate.generation, gate.compilation
 
-    operation = document.operations[0].name
+    operation = gate.document.operations[0].name
     payload = values
     if payload is None:
         payload = _sample_values(deployment_record.service.parameter_type)
-    invoked = GuardedStep("invoke", proxy.invoke, limits=limits).run(
+    invoked = GuardedStep("invoke", gate.proxy.invoke, limits=limits).run(
         operation, payload
     )
     if not invoked.ok:
+        statuses = {**gate.statuses, "communication": StepStatus.ERROR}
         if isinstance(invoked.exception, (ClientInvocationError, TransportError)):
-            detail, triage = str(invoked.exception), ""
-        else:
-            detail, triage = _triage_detail(invoked), invoked.bucket.value
-        return LifecycleOutcome(
-            service_name, client_id,
-            generation=generation_status,
-            compilation=compilation_status,
-            communication=StepStatus.ERROR,
-            execution=StepStatus.SKIPPED,
-            detail=detail,
-            triage=triage,
+            return _outcome(
+                gate.service_name, client_id, statuses, str(invoked.exception)
+            )
+        return _outcome(
+            gate.service_name, client_id, statuses, verdict=invoked
         )
     result = invoked.value
 
@@ -328,16 +314,12 @@ def _run_full_lifecycle(deployment_record, client, client_id="", transport=None,
     if attempt_log is not None and getattr(attempt_log, "recovered", False):
         communication_status = StepStatus.DEGRADED
 
-    execution_status = StepStatus.OK if result == payload else StepStatus.ERROR
-    detail = "" if execution_status is StepStatus.OK else "echo mismatch"
-    return LifecycleOutcome(
-        service_name, client_id,
-        generation=generation_status,
-        compilation=compilation_status,
-        communication=communication_status,
-        execution=execution_status,
-        detail=detail,
-    )
+    echoed = result == payload
+    return _outcome(gate.service_name, client_id, {
+        **gate.statuses,
+        "communication": communication_status,
+        "execution": StepStatus.OK if echoed else StepStatus.ERROR,
+    }, "" if echoed else "echo mismatch")
 
 
 _SAMPLE_BY_XSD = {

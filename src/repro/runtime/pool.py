@@ -60,14 +60,22 @@ from repro.core.store import CampaignCheckpoint
 from repro.runtime.guard import TriageBucket, classify_exception
 
 
-def default_start_method():
-    """``fork`` where available (cheap, inherits test hooks), else spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+#: ``multiprocessing`` start method: ``fork`` where available (cheap,
+#: inherits test hooks), else ``spawn``, the only one on hosts without
+#: fork.
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+#: How often each worker's heartbeat thread beats.
+HEARTBEAT_SECONDS = 0.5
+#: SIGKILL a busy worker whose heartbeat is older than this.
+HEARTBEAT_TIMEOUT_SECONDS = 30.0
+#: Supervisor poll interval while waiting for worker messages.
+POLL_SECONDS = 0.05
 
 
 def _worker_main(worker_id, job, spool_dir, task_queue, result_conn,
-                 heartbeat, heartbeat_seconds, trace_id=None):
+                 heartbeat, trace_id=None):
     """Child-process loop: execute assigned units until the sentinel.
 
     Payloads are saved atomically into the shard store *before* the
@@ -88,7 +96,7 @@ def _worker_main(worker_id, job, spool_dir, task_queue, result_conn,
     def beat():
         while not stop.is_set():
             heartbeat.value = time.monotonic()
-            stop.wait(heartbeat_seconds)
+            stop.wait(HEARTBEAT_SECONDS)
 
     threading.Thread(
         target=beat, name=f"pool-heartbeat-{worker_id}", daemon=True
@@ -183,9 +191,7 @@ class _Supervisor:
         self.pool = pool
         self.spool = spool
         self.stats = sweep.stats
-        self.ctx = multiprocessing.get_context(
-            pool.start_method or default_start_method()
-        )
+        self.ctx = multiprocessing.get_context(START_METHOD)
         self.workers = {}
         self.worker_ids = itertools.count(1)
         self.pending = deque(sweep.pending)
@@ -210,8 +216,7 @@ class _Supervisor:
         process = self.ctx.Process(
             target=_worker_main,
             args=(worker_id, self.job, self.spool.directory, task_queue,
-                  send_conn, heartbeat, self.pool.heartbeat_seconds,
-                  trace_id),
+                  send_conn, heartbeat, trace_id),
             name=f"pool-worker-{worker_id}",
             daemon=True,
         )
@@ -364,7 +369,7 @@ class _Supervisor:
                     f"unit exceeded the {self.pool.watchdog_seconds:g}s "
                     f"wall-clock watchdog; worker {handle.id} SIGKILLed"
                 )
-            elif heartbeat_age > self.pool.heartbeat_timeout_seconds:
+            elif heartbeat_age > HEARTBEAT_TIMEOUT_SECONDS:
                 self.stats.heartbeat_kills += 1
                 bucket, detail = TriageBucket.TIMEOUT, (
                     f"worker {handle.id} heartbeat silent for "
@@ -454,12 +459,12 @@ class _Supervisor:
                     # this wait never blocks past a crash; recv errors
                     # are resolved by the reap below.
                     ready = multiprocessing.connection.wait(
-                        list(conns), timeout=self.pool.poll_seconds
+                        list(conns), timeout=POLL_SECONDS
                     )
                     for conn in ready:
                         self._drain_conn(conns[conn])
                 else:
-                    time.sleep(self.pool.poll_seconds)
+                    time.sleep(POLL_SECONDS)
                 self._reap_dead()
                 self._enforce_watchdogs()
                 self._heartbeat(

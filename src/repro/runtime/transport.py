@@ -145,18 +145,26 @@ class InMemoryHttpTransport:
         if self.closed:
             raise ConnectionRefused(f"transport closed: {url}")
         self.requests_sent += 1
-        handler = self._endpoints.get(url)
-        if handler is None:
-            return HttpResponse(status=404, body=f"no endpoint at {url}")
-        try:
-            outcome = handler(body, headers or {})
-        except Exception as exc:
-            return HttpResponse(
-                status=500, body=f"internal server error: {exc}"
-            )
-        if isinstance(outcome, HttpResponse):
-            return outcome
-        return HttpResponse(status=200, body=str(outcome))
+        return dispatch(self._endpoints, url, body, headers or {})
+
+
+def dispatch(handlers, url, body, headers):
+    """Route one POST through ``handlers``, a ``{url: handler}`` map.
+
+    The one routing rule of both transports: 404 when nothing is
+    listening at ``url``, 500 when the handler raises, and a plain
+    string promoted to a 200 response.
+    """
+    handler = handlers.get(url)
+    if handler is None:
+        return HttpResponse(status=404, body=f"no endpoint at {url}")
+    try:
+        outcome = handler(body, headers)
+    except Exception as exc:
+        return HttpResponse(status=500, body=f"internal server error: {exc}")
+    if isinstance(outcome, HttpResponse):
+        return outcome
+    return HttpResponse(status=200, body=str(outcome))
 
 
 def close_transport(transport):

@@ -24,10 +24,10 @@ Three pieces, stdlib-only:
   ``wire_write_ms``, ``wire_first_byte_ms`` and ``wire_read_ms``.
 * :class:`WireTransport` — the drop-in replacement for
   :class:`InMemoryHttpTransport`: same ``register``/``unregister``/
-  ``post``/``close`` interface, same response bytes for the same
-  logical outcome (404 ``no endpoint at <url>``, handler exception →
-  500 ``internal server error: <exc>``, string outcome promoted to
-  200), and ``elapsed_ms`` always 0.0 — **real wall time never enters a
+  ``post``/``close`` interface, the same routing rule
+  (:func:`~repro.runtime.transport.dispatch`: 404 ``no endpoint at
+  <url>``, handler exception → 500 ``internal server error: <exc>``,
+  string outcome promoted to 200), and ``elapsed_ms`` always 0.0 — **real wall time never enters a
   campaign payload**; when tracing is active it is recorded into the
   trace metrics (``wire_ms``) instead.  That is the parity guarantee:
   a sweep over ``WireTransport`` produces a canonical matrix
@@ -63,6 +63,7 @@ from repro.runtime.transport import (
     PrematureEOF,
     ProtocolError,
     TransportError,
+    dispatch,
 )
 
 _STATUS_LINE = re.compile(rb"^HTTP/1\.[01] (\d{3})(?: .*)?$")
@@ -282,27 +283,13 @@ class WireServer:
                 return False, b""  # peer died mid-request; nothing to answer
             body += chunk
         keep = _keeps_alive(match.group(2), headers)
-        response = self._dispatch(
-            target, body[:length].decode("utf-8", "replace"), headers
+        response = dispatch(
+            self._handlers, target, body[:length].decode("utf-8", "replace"),
+            headers,
         )
         if not _send(conn, _serialize(response, keep)):
             return False, b""
         return keep, body[length:]
-
-    def _dispatch(self, target, body, headers):
-        """The in-memory transport's routing semantics, byte-for-byte."""
-        handler = self._handlers.get(target)
-        if handler is None:
-            return HttpResponse(status=404, body=f"no endpoint at {target}")
-        try:
-            outcome = handler(body, headers)
-        except Exception as exc:
-            return HttpResponse(
-                status=500, body=f"internal server error: {exc}"
-            )
-        if isinstance(outcome, HttpResponse):
-            return outcome
-        return HttpResponse(status=200, body=str(outcome))
 
 
 def _keeps_alive(minor_version, headers):

@@ -131,7 +131,7 @@ def test_every_fuzz_smoke_mutant_that_reads():
     mutants = read = 0
     for server_id in config.base.server_ids:
         container = container_for(server_id)
-        container.deploy_corpus(campaign.base_campaign.corpus_for(server_id))
+        container.deploy_corpus(campaign.corpus_for(server_id))
         for record in campaign._select(container.deployed):
             for kind in config.mutation_kinds:
                 for intensity in config.intensities:

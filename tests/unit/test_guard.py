@@ -12,6 +12,7 @@ import pytest
 from repro.appservers import GlassFish
 from repro.core.outcomes import StepStatus
 from repro.frameworks.client import MetroClient, SudsClient
+from repro.obs.trace import Tracer, activate
 from repro.runtime import (
     FATAL_BUCKETS,
     INLINE_LIMITS,
@@ -237,6 +238,30 @@ class TestDeadlineWorker:
         assert bucket == TriageBucket.CLEAN.value
         assert elapsed < 2.0
         assert child.exitcode == 0
+
+    def test_worker_starts_before_the_step_span_opens(self, monkeypatch):
+        # The step's span times the step only: a driving thread's first
+        # deadline step starts its guard-worker with no guard span open.
+        tracer = Tracer("0123456789abcdef")
+        open_at_start = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            if thread.name == "guard-worker":
+                open_at_start.append(tracer.current_span_id)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        verdicts = []
+        with activate(tracer):
+            # A new driving thread has no worker yet.
+            driver = threading.Thread(target=lambda: verdicts.append(
+                run_guarded("step", lambda: 1, limits=self.LIMITS)
+            ))
+            driver.start()
+            driver.join(10.0)
+        assert verdicts and verdicts[0].ok
+        assert open_at_start == [tracer.root_id]
 
     def test_clean_step_input_freed_with_its_verdict(self):
         # The clean-path twin of the failed-step test above: once the

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.appservers import GlassFish
-from repro.regress.diff import diff_results, diff_totals, results_equivalent
+from repro.core import canon
+from repro.regress.diff import DriftClass, diff_matrices, totals_delta
 from repro.core.outcomes import ClientTestRecord, classify
 from repro.core.results import CampaignResult, ServerRunReport
 from repro.frameworks.client import SudsClient
@@ -89,27 +90,32 @@ def _result_with(cells):
 
 
 class TestDiffing:
+    """Two run results through the drift diff of :mod:`repro.regress.diff`."""
+
     def test_identical_results_equivalent(self):
         before = _result_with({"a": 0, "b": 1})
         after = _result_with({"a": 0, "b": 1})
-        assert results_equivalent(before, after)
-        assert diff_results(before, after) == []
+        assert _snapshot(before) == _snapshot(after)
+        assert _drift(before, after) == []
 
     def test_changed_cell_detected(self):
         before = _result_with({"a": 0, "b": 1})
         after = _result_with({"a": 1, "b": 1})
-        diffs = diff_results(before, after)
-        assert len(diffs) == 1
-        diff = diffs[0]
-        assert (diff.server_id, diff.client_id) == ("s", "a")
-        assert diff.metric == "gen_errors"
-        assert diff.delta == 1
-        assert "->" in str(diff)
+        entries = _drift(before, after)
+        assert len(entries) == 1
+        entry = entries[0]
+        assert entry.cell == "s|a"
+        assert entry.drift is DriftClass.NEW_FAILURE
+        assert entry.changed_metrics == (("gen_error_tests", 0, 1),)
+        assert "->" in str(entry)
 
     def test_totals_diff(self):
         before = _result_with({"a": 0, "b": 0})
         after = _result_with({"a": 1, "b": 0})
-        moved = diff_totals(before, after)
+        moved = totals_delta(
+            "run", canon.canonical_totals("run", before),
+            canon.canonical_totals("run", after),
+        )
         assert moved["gen_error_tests"] == (0, 1)
         assert moved["error_situations"] == (0, 1)
 
@@ -122,4 +128,15 @@ class TestDiffing:
                 java_quotas=QUICK_JAVA_QUOTAS, dotnet_quotas=QUICK_DOTNET_QUOTAS
             )
         ).run()
-        assert results_equivalent(quick_campaign_result, again)
+        assert _snapshot(quick_campaign_result) == _snapshot(again)
+
+
+def _snapshot(result):
+    return canon.snapshot("run", result, fingerprint={})
+
+
+def _drift(before, after):
+    return diff_matrices(
+        "run", canon.canonical_matrix("run", before),
+        canon.canonical_matrix("run", after),
+    )
