@@ -58,7 +58,8 @@ class CampaignConfig:
     #: Slower but closest to what real tools do; results are identical
     #: because parsing is deterministic.  It governs ``run`` only: the
     #: fuzz sweep always shares one read per mutant, and the invoke,
-    #: resilience and lifecycle sweeps read once per client.
+    #: resilience and lifecycle sweeps read each sampled record once per
+    #: unit for all of its clients (``runtime.lifecycle.SharedReads``).
     parse_per_client: bool = False
     #: What-if overrides: ``{client_id: {flag: value}}`` applied to the
     #: instantiated client frameworks.  Used by the fix-impact ablation

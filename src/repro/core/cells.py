@@ -13,14 +13,14 @@ implementation of what they share:
   order, the JSON form, and the merge that folds unit payloads into it.
 
 A kind keeps only what differs: its counters (``add``, ``as_row`` and
-``FAIL_FIELDS``), its axes and extra fields, and ``empty(config)``.  In
-JSON and in unit payloads a cell key is its coordinates joined by
-``"|"``.
+``FAIL_FIELDS``), its axes and its extra fields.  In JSON and in unit
+payloads a cell key is its coordinates joined by ``"|"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from itertools import product
 
 from repro.core.canon import STATUS_FAIL, STATUS_PASS, STATUS_QUARANTINED
@@ -62,10 +62,12 @@ class CellMatrix:
     """Base of a sampled sweep's result.
 
     ``cells`` maps ``(server, client, *coordinates)`` to a ``CELL``;
-    ``AXES`` names the attributes holding each coordinate's values, in
-    sweep order.  Fields a kind adds beyond its axes are its extras
-    (fuzz: ``aborted``, ``quarantine``; invoke: ``gates``,
-    ``quarantine``), serialized after ``services_per_server``.
+    ``AXES`` maps the attributes holding each coordinate's values, in
+    sweep order, to the type a value is read as.  The config of the
+    sweep names its axes the same way.  Fields a kind adds beyond its
+    axes are its extras (fuzz: ``aborted``, ``quarantine``; invoke:
+    ``gates``, ``quarantine``), serialized after
+    ``services_per_server``.
     """
 
     server_ids: tuple = ()
@@ -76,17 +78,32 @@ class CellMatrix:
 
     #: The cell class.
     CELL = Counters
-    #: Attributes holding the coordinates' values, in sweep order.
-    AXES = ()
-    #: The kind's name in ``unsupported <KIND> format`` errors.
+    #: ``{attribute: type}`` of the coordinates, in sweep order.
+    AXES = {}
+    #: The engine kind, also named in ``unsupported <KIND> format`` errors.
     KIND = ""
     #: The version ``to_obj`` writes and ``from_obj`` accepts.
     FORMAT = 1
 
     @classmethod
+    def coordinates(cls, *values):
+        """The JSON form of one value per axis: an enum's ``value``, a
+        float's ``repr``."""
+        return tuple(map(_coordinate, cls.AXES.values(), values))
+
+    @classmethod
     def empty(cls, config):
         """The result of a sweep of ``config`` before any unit is merged."""
-        raise NotImplementedError
+        return cls(
+            server_ids=tuple(config.base.server_ids),
+            client_ids=tuple(config.base.client_ids),
+            seed=getattr(config, "seed", 0),
+            **{
+                axis: tuple(_coordinate(parse, value)
+                            for value in getattr(config, axis))
+                for axis, parse in cls.AXES.items()
+            },
+        )
 
     @classmethod
     def _extras(cls):
@@ -185,6 +202,11 @@ class CellMatrix:
         if "quarantine" in cls._extras():
             result.quarantine = registry.entries()
         return result
+
+
+def _coordinate(parse, value):
+    value = parse(value)
+    return value.value if isinstance(value, Enum) else repr(value)
 
 
 def _extra_to_obj(value):

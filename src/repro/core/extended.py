@@ -4,7 +4,7 @@ The paper stops after the Client Artifact Compilation step and announces
 the Communication and Execution steps as future work.  This module
 implements that extension: every (server, service, client) combination
 that survives the first three steps is driven through a live echo round
-trip over the in-memory transport, and the outcome of all five steps is
+trip over the sweep's transport, and the outcome of all five steps is
 classified with the same gating semantics.  It runs on the sweep engine
 (:mod:`repro.core.sharding`) as the ``lifecycle`` kind, one unit per
 server, and :class:`LifecycleCampaign` is the base of the three other
@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from repro.appservers import container_for
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.cells import CellMatrix, Counters, cells_to_obj
-from repro.core.outcomes import StepStatus
-from repro.core.sharding import CAMPAIGN_LIFECYCLE, ShardJob
+from repro.core.sharding import ShardJob
 from repro.obs.trace import current_tracer
-from repro.runtime import InMemoryHttpTransport, run_full_lifecycle
-from repro.runtime.lifecycle import SharedReads
+from repro.runtime import close_transport, run_full_lifecycle
+from repro.runtime.lifecycle import SharedReads, count_steps
+from repro.runtime.wire import transport_factory_for, unit_transports
 
 
 @dataclass
@@ -64,18 +64,7 @@ class LifecycleCellStats(Counters):
     completed: int = 0  # reached execution successfully
     tests: int = 0
 
-    def add(self, outcome):
-        self.tests += 1
-        if outcome.generation is StepStatus.ERROR:
-            self.generation_errors += 1
-        elif outcome.compilation is StepStatus.ERROR:
-            self.compilation_errors += 1
-        elif outcome.communication is StepStatus.ERROR:
-            self.communication_errors += 1
-        elif outcome.execution is StepStatus.ERROR:
-            self.execution_errors += 1
-        else:
-            self.completed += 1
+    add = count_steps
 
     @property
     def error_tests(self):
@@ -98,13 +87,6 @@ class LifecycleCampaignResult(CellMatrix):
     CELL = LifecycleCellStats
     KIND = "lifecycle"
 
-    @classmethod
-    def empty(cls, lconfig):
-        return cls(
-            server_ids=tuple(lconfig.base.server_ids),
-            client_ids=tuple(lconfig.base.client_ids),
-        )
-
     def cell(self, server_id, client_id):
         return self.cells[(server_id, client_id)]
 
@@ -126,62 +108,94 @@ class LifecycleCampaign(Campaign):
     ``sample_per_server`` bounds how many deployed services per server go
     through the live round trip (``None`` = all of them); sampling takes
     every k-th deployed service, so the special types — which sit at the
-    front of the catalogs — are always covered.  ``config`` is a
-    :class:`CampaignConfig`, or a :class:`LifecycleCampaignConfig` that
-    carries the sample itself (the form the engine builds from a job).
+    front of the catalogs — are always covered.
 
-    It is also the base of the three other sampled sweeps.  No sampled
-    kind's fingerprint names ``client_flag_overrides``, so a config that
-    sets them is refused rather than swept as if they applied.
+    It is also the base of the three other sampled sweeps.  A kind
+    declares its ``CONFIG`` (constructed with no arguments, it is the
+    default sweep), its ``RESULT`` (cell, axes and engine kind) and one
+    :meth:`_sweep_server` loop; construction, the shard job, the merge
+    and the unit around the loop are shared.  No sampled kind's
+    fingerprint names ``client_flag_overrides``, so a config that sets
+    them is refused rather than swept as if they applied.
     """
 
-    def __init__(self, config=None, sample_per_server=None):
-        if isinstance(config, LifecycleCampaignConfig):
-            config, sample_per_server = config.base, config.sample_per_server
-        if sample_per_server is not None and sample_per_server < 1:
-            raise ValueError(
-                f"sample_per_server must be >= 1, got {sample_per_server}"
-            )
-        super().__init__(config)
+    CONFIG = LifecycleCampaignConfig
+    RESULT = LifecycleCampaignResult
+
+    def __init__(self, sweep=None):
+        sweep = sweep or self.CONFIG()
+        sample = sweep.sample_per_server
+        if sample is not None and sample < 1:
+            raise ValueError(f"sample_per_server must be >= 1, got {sample}")
+        super().__init__(sweep.base)
         if self.config.client_flag_overrides:
             raise ValueError(
                 "client_flag_overrides apply to the run campaign only; "
                 "the sampled sweeps do not take them"
             )
-        self.sample_per_server = sample_per_server
+        self.sweep = sweep
+        #: Builds the unit's transports (through :func:`unit_transports`,
+        #: so a wire unit shares one listener and one connection); the
+        #: regress drill-down swaps in a recorder-wrapping factory to
+        #: capture a cell's exchanges.
+        self.transport_factory = transport_factory_for(sweep.base.transport)
 
-    merge = LifecycleCampaignResult.merge
+    @classmethod
+    def merge(cls, config, ordered):
+        return cls.RESULT.merge(config, ordered)
 
     def shard_job(self):
-        """This sweep as a :class:`~repro.core.sharding.ShardJob`: one
-        unit per server."""
-        return ShardJob(
-            CAMPAIGN_LIFECYCLE,
-            LifecycleCampaignConfig(self.config, self.sample_per_server),
-        )
+        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
+
+        One unit per server: circuit-breaker state and quarantine
+        triples accumulate across a server's services, so a finer split
+        would change outcomes.
+        """
+        return ShardJob(self.RESULT.KIND, self.sweep)
 
     def run_shard_unit(self, unit):
-        """Deploy one server and drive its sample through all five steps.
+        """Deploy one server and sweep its sample (:meth:`_sweep_server`).
 
-        Returns the unit payload: the sampled service count and the
-        server's per-client cells.
+        Returns the unit payload: the sampled service count, then what
+        the kind's loop returns (its cells and, by kind, gate counters,
+        quarantine entries and whether it finished).
+        """
+        server_id = unit.server_id
+        # One unit covers the whole server, so the server span is real.
+        with self._prepared_clients() as clients, \
+                current_tracer().span("server", server=server_id) as span, \
+                unit_transports(self.transport_factory) as new_transport:
+            selected = self._deploy_sample(server_id)
+            return {
+                "services": len(selected),
+                **self._sweep_server(
+                    server_id, selected, clients, new_transport, span
+                ),
+            }
+
+    def _sweep_server(self, server_id, selected, clients, new_transport,
+                      server_span):
+        """Drive each sampled record through all five steps per client.
+
+        A record's clients share one transport from the unit's
+        ``new_transport``, closed once they are done.
         """
         cells = {}
         reads = SharedReads()
-        with self._prepared_clients() as clients, \
-                current_tracer().span("server", server=unit.server_id):
-            selected = self._deploy_sample(unit.server_id)
-            for record in selected:
-                transport = InMemoryHttpTransport()
+        for record in selected:
+            transport = new_transport()
+            try:
                 for client_id, client in clients.items():
                     cell = cells.setdefault(
-                        (unit.server_id, client_id), LifecycleCellStats()
+                        (server_id, client_id), LifecycleCellStats()
                     )
                     cell.add(run_full_lifecycle(
                         record, client, client_id=client_id,
                         transport=transport, reads=reads,
                     ))
-        return {"services": len(selected), "cells": cells_to_obj(cells)}
+            finally:
+                close_transport(transport)
+        return {"cells": cells_to_obj(cells)}
 
     def _deploy_sample(self, server_id):
         """Deploy ``server_id``'s corpus under a ``deploy`` span; the
@@ -193,8 +207,8 @@ class LifecycleCampaign(Campaign):
         return self._select(container.deployed)
 
     def _select(self, deployed):
-        if self.sample_per_server is None or len(deployed) <= self.sample_per_server:
+        sample = self.sweep.sample_per_server
+        if sample is None or len(deployed) <= sample:
             return list(deployed)
-        step = max(1, len(deployed) // self.sample_per_server)
-        selected = deployed[::step]
-        return selected[: self.sample_per_server]
+        step = max(1, len(deployed) // sample)
+        return deployed[::step][:sample]

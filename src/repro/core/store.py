@@ -53,6 +53,65 @@ def _outcome_from_obj(obj):
     )
 
 
+def _report_to_obj(report):
+    return {
+        "name": report.server_name,
+        "services_total": report.services_total,
+        "deployed": report.deployed,
+        "refused": report.refused,
+        "wsi_failing": sorted(report.wsi_failing),
+        "wsi_advisory_only": sorted(report.wsi_advisory_only),
+    }
+
+
+def _report_from_obj(server_id, obj):
+    report = ServerRunReport(
+        server_id=server_id,
+        server_name=obj["name"],
+        services_total=obj["services_total"],
+        deployed=obj["deployed"],
+        refused=obj["refused"],
+    )
+    report.wsi_failing.update(obj["wsi_failing"])
+    report.wsi_advisory_only.update(obj["wsi_advisory_only"])
+    return report
+
+
+def _records_to_obj(records):
+    # Records share a few dozen interned outcomes: convert each once.
+    converted = {}
+
+    def outcome_obj(outcome):
+        found = converted.get(id(outcome))
+        if found is None:
+            found = converted[id(outcome)] = _outcome_to_obj(outcome)
+        return found
+
+    return [
+        {
+            "server": record.server_id,
+            "client": record.client_id,
+            "service": record.service_name,
+            "generation": outcome_obj(record.generation),
+            "compilation": outcome_obj(record.compilation),
+        }
+        for record in records
+    ]
+
+
+def _records_from_obj(items):
+    return [
+        ClientTestRecord(
+            server_id=item["server"],
+            client_id=item["client"],
+            service_name=item["service"],
+            generation=_outcome_from_obj(item["generation"]),
+            compilation=_outcome_from_obj(item["compilation"]),
+        )
+        for item in items
+    ]
+
+
 def result_to_obj(result, include_records=True):
     """Convert a :class:`CampaignResult` to a JSON-compatible dict."""
     obj = {
@@ -60,37 +119,12 @@ def result_to_obj(result, include_records=True):
         "server_ids": list(result.server_ids),
         "client_ids": list(result.client_ids),
         "servers": {
-            server_id: {
-                "name": report.server_name,
-                "services_total": report.services_total,
-                "deployed": report.deployed,
-                "refused": report.refused,
-                "wsi_failing": sorted(report.wsi_failing),
-                "wsi_advisory_only": sorted(report.wsi_advisory_only),
-            }
+            server_id: _report_to_obj(report)
             for server_id, report in result.servers.items()
         },
     }
     if include_records:
-        # Records share a few dozen interned outcomes: convert each once.
-        converted = {}
-
-        def outcome_obj(outcome):
-            found = converted.get(id(outcome))
-            if found is None:
-                found = converted[id(outcome)] = _outcome_to_obj(outcome)
-            return found
-
-        obj["records"] = [
-            {
-                "server": record.server_id,
-                "client": record.client_id,
-                "service": record.service_name,
-                "generation": outcome_obj(record.generation),
-                "compilation": outcome_obj(record.compilation),
-            }
-            for record in result.records
-        ]
+        obj["records"] = _records_to_obj(result.records)
     return obj
 
 
@@ -103,26 +137,9 @@ def result_from_obj(obj):
         client_ids=tuple(obj["client_ids"]),
     )
     for server_id, data in obj["servers"].items():
-        report = ServerRunReport(
-            server_id=server_id,
-            server_name=data["name"],
-            services_total=data["services_total"],
-            deployed=data["deployed"],
-            refused=data["refused"],
-        )
-        report.wsi_failing.update(data["wsi_failing"])
-        report.wsi_advisory_only.update(data["wsi_advisory_only"])
-        result.servers[server_id] = report
-    for item in obj.get("records", ()):
-        result.add_record(
-            ClientTestRecord(
-                server_id=item["server"],
-                client_id=item["client"],
-                service_name=item["service"],
-                generation=_outcome_from_obj(item["generation"]),
-                compilation=_outcome_from_obj(item["compilation"]),
-            )
-        )
+        result.servers[server_id] = _report_from_obj(server_id, data)
+    for record in _records_from_obj(obj.get("records", ())):
+        result.add_record(record)
     return result
 
 
@@ -499,14 +516,10 @@ class ServerSlice:
     wall_seconds: float = 0.0
 
     def to_obj(self):
-        full = result_to_obj(
-            _single_server_result(self.report, self.records),
-            include_records=True,
-        )
         return {
             "format": _FORMAT_VERSION,
-            "server": full["servers"][self.report.server_id],
-            "records": full["records"],
+            "server": _report_to_obj(self.report),
+            "records": _records_to_obj(self.records),
             "wall_seconds": self.wall_seconds,
         }
 
@@ -516,27 +529,11 @@ class ServerSlice:
             raise ValueError(
                 f"unsupported slice format: {obj.get('format')!r}"
             )
-        shell = result_from_obj(
-            {
-                "format": _FORMAT_VERSION,
-                "server_ids": [server_id],
-                "client_ids": [],
-                "servers": {server_id: obj["server"]},
-                "records": obj["records"],
-            }
-        )
         return cls(
-            shell.servers[server_id], shell.records,
+            _report_from_obj(server_id, obj["server"]),
+            _records_from_obj(obj["records"]),
             obj.get("wall_seconds", 0.0),
         )
-
-
-def _single_server_result(report, records):
-    result = CampaignResult(server_ids=(report.server_id,))
-    result.servers[report.server_id] = report
-    for record in records:
-        result.add_record(record)
-    return result
 
 
 class CampaignCheckpoint:

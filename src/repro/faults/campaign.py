@@ -30,7 +30,6 @@ from repro.core.campaign import CampaignConfig
 from repro.core.cells import CellMatrix, Counters, cells_to_obj
 from repro.core.extended import LifecycleCampaign
 from repro.core.outcomes import StepStatus
-from repro.core.sharding import CAMPAIGN_FUZZ, CAMPAIGN_RESILIENCE, ShardJob
 from repro.core.store import QuarantineRegistry
 from repro.faults.corpus import DEFAULT_MUTATION_KINDS, MutationKind, WsdlMutator
 from repro.faults.plan import DEFAULT_FAULT_KINDS, FaultKind, FaultPlan, derive_seed
@@ -38,13 +37,16 @@ from repro.faults.policies import policy_for
 from repro.faults.transport import FaultingTransport
 from repro.obs.trace import current_tracer
 from repro.runtime import (
-    InMemoryHttpTransport,
     ResilientTransport,
     close_transport,
     run_full_lifecycle,
 )
-from repro.runtime.lifecycle import SharedReads, build_client, guarded_read
-from repro.runtime.wire import transport_factory_for, unit_transports
+from repro.runtime.lifecycle import (
+    SharedReads,
+    build_client,
+    count_steps,
+    guarded_read,
+)
 from repro.runtime.guard import GuardLimits, TriageBucket
 
 #: Default rate sweep: a light drizzle and a heavy storm.
@@ -101,19 +103,9 @@ class ResilienceCellStats(Counters):
     breaker_trips: int = 0
 
     def add(self, outcome):
-        self.tests += 1
-        if outcome.generation is StepStatus.ERROR:
-            self.generation_errors += 1
-        elif outcome.compilation is StepStatus.ERROR:
-            self.compilation_errors += 1
-        elif outcome.communication is StepStatus.ERROR:
-            self.communication_errors += 1
-        elif outcome.execution is StepStatus.ERROR:
-            self.execution_errors += 1
-        else:
-            self.completed += 1
-            if outcome.communication is StepStatus.DEGRADED:
-                self.recovered += 1
+        if count_steps(self, outcome) \
+                and outcome.communication is StepStatus.DEGRADED:
+            self.recovered += 1
 
     @property
     def survival_rate(self):
@@ -132,10 +124,6 @@ class ResilienceCellStats(Counters):
         )
 
 
-def _cell_key(server_id, client_id, kind, rate):
-    return (server_id, client_id, FaultKind(kind).value, repr(float(rate)))
-
-
 @dataclass
 class ResilienceCampaignResult(CellMatrix):
     """Aggregate result of one resilience sweep."""
@@ -144,20 +132,8 @@ class ResilienceCampaignResult(CellMatrix):
     rates: tuple = ()  # repr'd floats, in sweep order
 
     CELL = ResilienceCellStats
-    AXES = ("fault_kinds", "rates")
+    AXES = {"fault_kinds": FaultKind, "rates": float}
     KIND = "resilience"
-
-    @classmethod
-    def empty(cls, rconfig):
-        return cls(
-            server_ids=tuple(rconfig.base.server_ids),
-            client_ids=tuple(rconfig.base.client_ids),
-            fault_kinds=tuple(
-                FaultKind(kind).value for kind in rconfig.fault_kinds
-            ),
-            rates=tuple(repr(float(rate)) for rate in rconfig.rates),
-            seed=rconfig.seed,
-        )
 
     @property
     def tests_executed(self):
@@ -165,15 +141,12 @@ class ResilienceCampaignResult(CellMatrix):
 
     def client_survival(self, kind, rate):
         """Per-client survival rate across servers for one fault config."""
-        kind = FaultKind(kind).value
-        rate = repr(float(rate))
+        coordinates = self.coordinates(kind, rate)
         out = {}
         for client_id in self.client_ids:
             tests = completed = 0
             for server_id in self.server_ids:
-                cell = self.cells.get(
-                    (server_id, client_id, kind, rate)
-                )
+                cell = self.cells.get((server_id, client_id, *coordinates))
                 if cell is None:
                     continue
                 tests += cell.tests
@@ -196,92 +169,58 @@ class ResilienceCampaign(LifecycleCampaign):
     :class:`FaultPlan` so the schedule is independent of execution order.
     """
 
-    #: Builds each cell's base transport (through
-    #: :func:`unit_transports`, so a wire unit's cells share one listener
-    #: and one connection); the regress drill-down swaps in a
-    #: recorder-wrapping factory to capture the cell's exchanges.
-    transport_factory = InMemoryHttpTransport
+    CONFIG = ResilienceCampaignConfig
+    RESULT = ResilienceCampaignResult
 
-    def __init__(self, config=None):
-        self.rconfig = config or ResilienceCampaignConfig()
-        self.transport_factory = transport_factory_for(
-            self.rconfig.base.transport
-        )
-        super().__init__(
-            self.rconfig.base,
-            sample_per_server=self.rconfig.sample_per_server,
-        )
-
-    merge = ResilienceCampaignResult.merge
-
-    def shard_job(self):
-        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
-
-        One unit per server: within a server the circuit breaker
-        accumulates state across services, so a finer split would
-        change outcomes.
-        """
-        return ShardJob(CAMPAIGN_RESILIENCE, self.rconfig, 1)
-
-    def run_shard_unit(self, unit):
-        """Deploy one server and sweep every (kind, rate, client) cell.
-
-        Returns the unit payload: the sampled service count and the
-        server's cells.
-        """
-        rconfig = self.rconfig
-        server_id = unit.server_id
+    def _sweep_server(self, server_id, selected, clients, new_transport,
+                      server_span):
+        """Sweep every (kind, rate, client) cell of one server's sample."""
+        sweep = self.sweep
         tracer = current_tracer()
         cells = {}
         reads = SharedReads()
-        # One unit covers the whole server, so the server span is real.
-        with self._prepared_clients() as clients, \
-                tracer.span("server", server=server_id), \
-                unit_transports(self.transport_factory) as new_transport:
-            selected = self._deploy_sample(server_id)
-            for kind in rconfig.fault_kinds:
-                kind = FaultKind(kind)
-                for rate in rconfig.rates:
-                    for client_id, client in clients.items():
-                        cell = ResilienceCellStats()
-                        cells[_cell_key(server_id, client_id, kind, rate)] = (
-                            cell
+        for kind in sweep.fault_kinds:
+            kind = FaultKind(kind)
+            for rate in sweep.rates:
+                coordinates = self.RESULT.coordinates(kind, rate)
+                for client_id, client in clients.items():
+                    cell = ResilienceCellStats()
+                    cells[(server_id, client_id, *coordinates)] = cell
+                    with tracer.span(
+                        "cell", client=client_id, kind=kind.value,
+                        rate=repr(float(rate)),
+                    ) as cell_span:
+                        self._run_cell(
+                            cell, server_id, client_id, client,
+                            kind, rate, selected, new_transport, reads,
                         )
-                        with tracer.span(
-                            "cell", client=client_id, kind=kind.value,
-                            rate=repr(float(rate)),
-                        ) as cell_span:
-                            self._run_cell(
-                                cell, server_id, client_id, client,
-                                kind, rate, selected, new_transport, reads,
-                            )
-                            cell_span.annotate(
-                                tests=cell.tests, completed=cell.completed,
-                                retries=cell.retries,
-                            )
-        return {"services": len(selected), "cells": cells_to_obj(cells)}
+                        cell_span.annotate(
+                            tests=cell.tests, completed=cell.completed,
+                            retries=cell.retries,
+                        )
+        return {"cells": cells_to_obj(cells)}
 
     def _run_cell(self, cell, server_id, client_id, client, kind, rate,
                   selected, new_transport, reads):
-        rconfig = self.rconfig
+        sweep = self.sweep
         resilient = ResilientTransport(
             inner=None,
             policy=policy_for(client_id),
             seed=derive_seed(
-                rconfig.seed, server_id, client_id, kind.value, repr(float(rate))
+                sweep.seed, server_id, client_id, kind.value, repr(float(rate))
             ),
         )
         for record in selected:
             seed = derive_seed(
-                rconfig.seed, server_id, client_id, kind.value,
+                sweep.seed, server_id, client_id, kind.value,
                 repr(float(rate)), record.service.name,
             )
             faulting = FaultingTransport(
                 new_transport(),
                 FaultPlan.single(
                     seed, kind, rate,
-                    slow_latency_ms=rconfig.slow_latency_ms,
-                    base_latency_ms=rconfig.base_latency_ms,
+                    slow_latency_ms=sweep.slow_latency_ms,
+                    base_latency_ms=sweep.base_latency_ms,
                 ),
             )
             resilient.inner = faulting
@@ -400,12 +339,6 @@ class FuzzCellStats(Counters):
         )
 
 
-def _fuzz_cell_key(server_id, client_id, kind, intensity):
-    return (
-        server_id, client_id, MutationKind(kind).value, repr(float(intensity))
-    )
-
-
 @dataclass
 class FuzzCampaignResult(CellMatrix):
     """Aggregate result of one corruption-fuzz sweep."""
@@ -418,20 +351,8 @@ class FuzzCampaignResult(CellMatrix):
     quarantine: list = field(default_factory=list)
 
     CELL = FuzzCellStats
-    AXES = ("mutation_kinds", "intensities")
+    AXES = {"mutation_kinds": MutationKind, "intensities": float}
     KIND = "fuzz"
-
-    @classmethod
-    def empty(cls, fconfig):
-        return cls(
-            server_ids=tuple(fconfig.base.server_ids),
-            client_ids=tuple(fconfig.base.client_ids),
-            mutation_kinds=tuple(
-                MutationKind(kind).value for kind in fconfig.mutation_kinds
-            ),
-            intensities=tuple(repr(float(i)) for i in fconfig.intensities),
-            seed=fconfig.seed,
-        )
 
     @property
     def mutants_executed(self):
@@ -460,43 +381,24 @@ class FuzzCampaign(LifecycleCampaign):
     entries checkpoint together as one unit payload.
     """
 
-    def __init__(self, config=None):
-        self.fconfig = config or FuzzCampaignConfig()
-        super().__init__(
-            self.fconfig.base,
-            sample_per_server=self.fconfig.sample_per_server,
-        )
+    CONFIG = FuzzCampaignConfig
+    RESULT = FuzzCampaignResult
 
-    merge = FuzzCampaignResult.merge
+    def _sweep_server(self, server_id, selected, clients, new_transport,
+                      server_span):
+        """Fuzz one server's sample.
 
-    def shard_job(self):
-        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
-
-        One unit per server: quarantine triples are keyed by server, so
-        whole-server units keep poisoning semantics self-contained.
+        Returns its cells, its quarantine entries and whether it
+        finished (``False`` when ``fail_fast`` aborted it).
         """
-        return ShardJob(CAMPAIGN_FUZZ, self.fconfig, 1)
-
-    def run_shard_unit(self, unit):
-        """Deploy and fuzz one server.
-
-        Returns the unit payload: the sampled service count, the
-        server's cells, its quarantine entries and whether it finished
-        (``False`` when ``fail_fast`` aborted it).
-        """
-        tracer = current_tracer()
         cells = {}
         quarantine = QuarantineRegistry()
-        with self._prepared_clients() as clients, \
-                tracer.span("server", server=unit.server_id) as server_span:
-            selected = self._deploy_sample(unit.server_id)
-            finished = self._fuzz_server(
-                unit.server_id, selected, clients, cells, quarantine
-            )
-            if not finished:
-                server_span.annotate(aborted=True)
+        finished = self._fuzz_server(
+            server_id, selected, clients, cells, quarantine
+        )
+        if not finished:
+            server_span.annotate(aborted=True)
         return {
-            "services": len(selected),
             "cells": cells_to_obj(cells),
             "quarantine": [list(entry) for entry in quarantine.entries()],
             "finished": finished,
@@ -504,16 +406,17 @@ class FuzzCampaign(LifecycleCampaign):
 
     def _fuzz_server(self, server_id, selected, clients, cells, quarantine):
         """Fuzz one server's sample; returns False when fail-fast aborted."""
-        fconfig = self.fconfig
-        mutator = WsdlMutator(fconfig.seed)
-        limits = fconfig.guard_limits()
+        sweep = self.sweep
+        mutator = WsdlMutator(sweep.seed)
+        limits = sweep.guard_limits()
         tracer = current_tracer()
         for record in selected:
             service_name = record.service.name
-            for kind in fconfig.mutation_kinds:
+            for kind in sweep.mutation_kinds:
                 kind = MutationKind(kind)
-                for intensity in fconfig.intensities:
-                    for index in range(fconfig.mutants_per_config):
+                for intensity in sweep.intensities:
+                    coordinates = self.RESULT.coordinates(kind, intensity)
+                    for index in range(sweep.mutants_per_config):
                         mutant = mutator.mutate(
                             record.wsdl_text, kind, intensity,
                             server_id, service_name, index,
@@ -521,9 +424,7 @@ class FuzzCampaign(LifecycleCampaign):
                         # Read once, by the first client not quarantined.
                         read = None
                         for client_id, client in clients.items():
-                            key = _fuzz_cell_key(
-                                server_id, client_id, kind, intensity
-                            )
+                            key = (server_id, client_id, *coordinates)
                             cell = cells.get(key)
                             if cell is None:
                                 cell = cells[key] = FuzzCellStats()
@@ -557,7 +458,7 @@ class FuzzCampaign(LifecycleCampaign):
                                     bucket.value, detail,
                                 )
                                 if (
-                                    fconfig.fail_fast
+                                    sweep.fail_fast
                                     and bucket is TriageBucket.TOOL_INTERNAL
                                 ):
                                     return False

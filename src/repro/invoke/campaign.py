@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from repro.core.campaign import CampaignConfig
 from repro.core.cells import CellMatrix, Counters, cells_to_obj
 from repro.core.extended import LifecycleCampaign
-from repro.core.sharding import CAMPAIGN_INVOKE, ShardJob
 from repro.core.store import QuarantineRegistry
 from repro.invoke.fidelity import (
     Fidelity,
@@ -38,10 +37,9 @@ from repro.invoke.payloads import (
 )
 from repro.invoke.response import ResponseTap, validate_response
 from repro.obs.trace import current_tracer
-from repro.runtime import InMemoryHttpTransport, close_transport
+from repro.runtime import close_transport
 from repro.runtime.guard import GuardLimits, GuardedStep
 from repro.runtime.lifecycle import SharedReads, prepare_client_proxy
-from repro.runtime.wire import transport_factory_for, unit_transports
 
 
 @dataclass
@@ -139,10 +137,6 @@ class InvocationCellStats(Counters):
         )
 
 
-def _invoke_cell_key(server_id, client_id, payload_class):
-    return (server_id, client_id, PayloadClass(payload_class).value)
-
-
 def _quarantine_client(client_id, payload_class):
     """Encode (client, class) into the registry's client field, giving
     the quarantine the 4-tuple granularity the fidelity matrix needs."""
@@ -160,19 +154,8 @@ class InvocationCampaignResult(CellMatrix):
     quarantine: list = field(default_factory=list)
 
     CELL = InvocationCellStats
-    AXES = ("payload_classes",)
+    AXES = {"payload_classes": PayloadClass}
     KIND = "invoke"
-
-    @classmethod
-    def empty(cls, iconfig):
-        return cls(
-            server_ids=tuple(iconfig.base.server_ids),
-            client_ids=tuple(iconfig.base.client_ids),
-            payload_classes=tuple(
-                PayloadClass(value).value for value in iconfig.payload_classes
-            ),
-            seed=iconfig.seed,
-        )
 
     @property
     def payloads_executed(self):
@@ -205,53 +188,73 @@ class InvocationCampaign(LifecycleCampaign):
     skip them.
     """
 
-    #: Builds each cell's transport (through :func:`unit_transports`, so
-    #: a wire unit's cells share one listener and one connection); the
-    #: regress drill-down swaps in a recorder-wrapping factory to
-    #: capture the cell's exchanges.
-    transport_factory = InMemoryHttpTransport
-
-    def __init__(self, config=None):
-        self.iconfig = config or InvocationCampaignConfig()
-        self.transport_factory = transport_factory_for(
-            self.iconfig.base.transport
-        )
-        super().__init__(
-            self.iconfig.base,
-            sample_per_server=self.iconfig.sample_per_server,
-        )
-
-    def _generator(self):
-        iconfig = self.iconfig
-        return PayloadGenerator(
-            iconfig.seed,
-            classes=iconfig.payload_classes,
-            payloads_per_class=iconfig.payloads_per_class,
-        )
-
-    merge = InvocationCampaignResult.merge
+    CONFIG = InvocationCampaignConfig
+    RESULT = InvocationCampaignResult
 
     def run(self, progress=None, checkpoint=None):
         """:meth:`Campaign.run`, noting a filter that matched nothing."""
         result = super().run(progress=progress, checkpoint=checkpoint)
         if progress and not result.services_matched \
-                and self.iconfig.service_filter:
+                and self.sweep.service_filter:
             progress(
                 f"no deployed service matches filter "
-                f"{self.iconfig.service_filter!r}; empty fidelity matrix"
+                f"{self.sweep.service_filter!r}; empty fidelity matrix"
             )
         return result
 
     def _select(self, deployed):
         """The sampled records, narrowed by ``service_filter``."""
         selected = super()._select(deployed)
-        pattern = self.iconfig.service_filter
+        pattern = self.sweep.service_filter
         if pattern:
             selected = [
                 record for record in selected
                 if fnmatch(record.service.name, pattern)
             ]
         return selected
+
+    def _sweep_server(self, server_id, selected, clients, new_transport,
+                      server_span):
+        """Invoke every surviving cell of one server's sample.
+
+        Returns its gate counters, its cells and its quarantine entries.
+        """
+        sweep = self.sweep
+        generator = PayloadGenerator(
+            sweep.seed,
+            classes=sweep.payload_classes,
+            payloads_per_class=sweep.payloads_per_class,
+        )
+        limits = sweep.guard_limits()
+        tracer = current_tracer()
+        cells = {}
+        gates = {}
+        quarantine = QuarantineRegistry()
+        reads = SharedReads(limits)
+        for record in selected:
+            service_name = record.service.name
+            payloads = generator.generate(record.wsdl, service_name)
+            shape = {
+                shape_field.name: shape_field
+                for shape_field in request_shape(record.wsdl)
+            }
+            with tracer.span("service", service=service_name):
+                for client_id, client in clients.items():
+                    gate_stats = gates.setdefault(
+                        f"{server_id}|{client_id}",
+                        {"services": 0, "invoked": 0, "gate_failed": 0},
+                    )
+                    gate_stats["services"] += 1
+                    self._invoke_cell(
+                        server_id, service_name, record, client_id,
+                        client, payloads, shape, limits, cells,
+                        gate_stats, quarantine, new_transport, reads,
+                    )
+        return {
+            "gates": gates,
+            "cells": cells_to_obj(cells),
+            "quarantine": [list(entry) for entry in quarantine.entries()],
+        }
 
     def _invoke_cell(self, server_id, service_name, record, client_id,
                      client, payloads, shape, limits, cells, gate_stats,
@@ -284,7 +287,7 @@ class InvocationCampaign(LifecycleCampaign):
         gate_stats["invoked"] += 1
         operation = gate.document.operations[0].name
         for payload in payloads:
-            key = _invoke_cell_key(server_id, client_id, payload.payload_class)
+            key = (server_id, client_id, payload.payload_class.value)
             cell = cells.get(key)
             if cell is None:
                 cell = cells[key] = InvocationCellStats()
@@ -325,57 +328,3 @@ class InvocationCampaign(LifecycleCampaign):
                     server_id, service_name, qclient,
                     triage.fidelity.value, triage.detail,
                 )
-
-    # -- sharded execution -----------------------------------------------------
-
-    def shard_job(self):
-        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
-
-        One unit per server: quarantine entries are keyed by server, so
-        whole-server units keep poisoning semantics self-contained.
-        """
-        return ShardJob(CAMPAIGN_INVOKE, self.iconfig, 1)
-
-    def run_shard_unit(self, unit):
-        """Deploy one server and invoke every surviving cell.
-
-        Returns the unit payload: the sampled service count, the
-        server's gate counters and cells, and its quarantine entries.
-        """
-        server_id = unit.server_id
-        generator = self._generator()
-        limits = self.iconfig.guard_limits()
-        tracer = current_tracer()
-        cells = {}
-        gates = {}
-        quarantine = QuarantineRegistry()
-        reads = SharedReads(limits)
-        with self._prepared_clients() as clients, \
-                tracer.span("server", server=server_id), \
-                unit_transports(self.transport_factory) as new_transport:
-            selected = self._deploy_sample(server_id)
-            for record in selected:
-                service_name = record.service.name
-                payloads = generator.generate(record.wsdl, service_name)
-                shape = {
-                    shape_field.name: shape_field
-                    for shape_field in request_shape(record.wsdl)
-                }
-                with tracer.span("service", service=service_name):
-                    for client_id, client in clients.items():
-                        gate_stats = gates.setdefault(
-                            f"{server_id}|{client_id}",
-                            {"services": 0, "invoked": 0, "gate_failed": 0},
-                        )
-                        gate_stats["services"] += 1
-                        self._invoke_cell(
-                            server_id, service_name, record, client_id,
-                            client, payloads, shape, limits, cells,
-                            gate_stats, quarantine, new_transport, reads,
-                        )
-        return {
-            "services": len(selected),
-            "gates": gates,
-            "cells": cells_to_obj(cells),
-            "quarantine": [list(entry) for entry in quarantine.entries()],
-        }

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.sharding import campaign_class
 from repro.obs.trace import Tracer, activate, server_span_id, trace_id_for
 from repro.regress.diff import DriftClass
 from repro.runtime.recorder import TransportRecorder
@@ -111,19 +112,38 @@ class _RecorderFactory:
         return out
 
 
-def _narrow_base(base, server_id, client_id):
-    return replace(base, server_ids=(server_id,), client_ids=(client_id,))
+def _axes(campaign):
+    """``{attribute: type}`` of ``campaign``'s coordinates beyond (server,
+    client); ``run`` has none."""
+    return {} if campaign == "run" else campaign_class(campaign).RESULT.AXES
 
 
 def _parts(campaign, cell):
     parts = cell.split("|")
-    expected = {"run": 2, "resilience": 4, "fuzz": 4, "invoke": 3}[campaign]
+    expected = 2 + len(_axes(campaign))
     if len(parts) != expected:
         raise ValueError(
             f"malformed {campaign!r} cell key {cell!r}: expected "
             f"{expected} coordinates"
         )
     return parts
+
+
+def _narrowed(campaign, config, parts):
+    """``campaign``'s sweep of one cell: ``config`` narrowed to the cell's
+    server, client and one value per axis."""
+    server_id, client_id, *coordinates = parts
+    cell = {"server_ids": (server_id,), "client_ids": (client_id,)}
+    if campaign == "run":
+        config = replace(config, **cell)
+    else:
+        config = replace(config, base=replace(config.base, **cell), **{
+            axis: (parse(value),)
+            for (axis, parse), value in zip(
+                _axes(campaign).items(), coordinates
+            )
+        })
+    return campaign_class(campaign)(config)
 
 
 def _traced(campaign_obj, trace_id):
@@ -137,10 +157,8 @@ def _traced(campaign_obj, trace_id):
 # -- per-kind re-drives -------------------------------------------------------
 
 
-def _drill_run(config, server_id, client_id, trace_id):
-    from repro.core.campaign import Campaign
-
-    narrowed = Campaign(_narrow_base(config, server_id, client_id))
+def _drill_run(narrowed, parts, trace_id):
+    client_id = parts[1]
     result, events = _traced(narrowed, trace_id)
     failing = {}
     for record in result.records:
@@ -181,20 +199,11 @@ def _service_of(event, events):
     return ""
 
 
-def _drill_resilience(config, server_id, client_id, kind, rate, trace_id):
-    from repro.faults.campaign import ResilienceCampaign
-    from repro.faults.plan import FaultKind
-
-    narrowed = ResilienceCampaign(replace(
-        config,
-        base=_narrow_base(config.base, server_id, client_id),
-        fault_kinds=(FaultKind(kind),),
-        rates=(float(rate),),
-    ))
+def _drill_resilience(narrowed, parts, trace_id):
     factory = _RecorderFactory()
     narrowed.transport_factory = factory
     result, events = _traced(narrowed, trace_id)
-    stats = result.cells.get((server_id, client_id, kind, rate))
+    stats = result.cells.get(tuple(parts))
     notes = []
     if stats is not None:
         notes.append(
@@ -211,17 +220,8 @@ def _drill_resilience(config, server_id, client_id, kind, rate, trace_id):
     return spans, factory.exchanges, notes
 
 
-def _drill_fuzz(config, server_id, client_id, kind, intensity, trace_id):
-    from repro.faults.campaign import FuzzCampaign
-    from repro.faults.corpus import MutationKind
-
-    narrowed = FuzzCampaign(replace(
-        config,
-        base=_narrow_base(config.base, server_id, client_id),
-        mutation_kinds=(MutationKind(kind),),
-        intensities=(float(intensity),),
-    ))
-    result, events = _traced(narrowed, trace_id)
+def _drill_fuzz(narrowed, parts, trace_id):
+    _, events = _traced(narrowed, trace_id)
     spans = [
         event for event in events
         if event["name"] == "mutant"
@@ -236,18 +236,10 @@ def _drill_fuzz(config, server_id, client_id, kind, intensity, trace_id):
     return spans, [], sorted(set(notes))
 
 
-def _drill_invoke(config, server_id, client_id, payload_class, trace_id):
-    from repro.invoke.campaign import InvocationCampaign
-    from repro.invoke.payloads import PayloadClass
-
-    narrowed = InvocationCampaign(replace(
-        config,
-        base=_narrow_base(config.base, server_id, client_id),
-        payload_classes=(PayloadClass(payload_class),),
-    ))
+def _drill_invoke(narrowed, parts, trace_id):
     factory = _RecorderFactory()
     narrowed.transport_factory = factory
-    result, events = _traced(narrowed, trace_id)
+    _, events = _traced(narrowed, trace_id)
     spans = [
         event for event in events
         if (event["name"] == "invoke"
@@ -281,7 +273,7 @@ def drill_cell(campaign, config, cell, fingerprint):
     server_id = parts[0]
     trace_id = trace_id_for(campaign, fingerprint)
     spans, exchanges, notes = _DRILLERS[campaign](
-        config, *parts, trace_id
+        _narrowed(campaign, config, parts), parts, trace_id
     )
     return CellDrilldown(
         campaign=campaign,

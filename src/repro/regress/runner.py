@@ -16,9 +16,10 @@ truth: 0 clean, 2 regressions (any drift), 3 unclassified delta
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core import canon
+from repro.core.sharding import PoolConfig, campaign_class, execute_sharded
 from repro.regress.baseline import BaselineStore
 from repro.regress.diff import diff_matrices, perturb_matrix, totals_delta
 
@@ -39,33 +40,26 @@ def build_configs(campaigns, base, seed=DEFAULT_SEED, sample=2,
     ``run`` kind uses it directly); sweep shapes (fault kinds, rates,
     mutation kinds, intensities, payload classes) stay at their module
     defaults so a regress baseline means the *default* sweep unless the
-    caller builds configs by hand.
+    caller builds configs by hand.  A sampled kind's ``CONFIG`` takes
+    the other arguments it has a field for (``sample`` is
+    ``sample_per_server``).
     """
+    given = {
+        "base": base, "seed": seed, "sample_per_server": sample,
+        "payloads_per_class": payloads_per_class,
+        "mutants_per_config": mutants_per_config,
+    }
     configs = {}
     for kind in campaigns:
         canon.require_kind(kind)
         if kind == "run":
             configs[kind] = base
-        elif kind == "resilience":
-            from repro.faults import ResilienceCampaignConfig
-
-            configs[kind] = ResilienceCampaignConfig(
-                base=base, seed=seed, sample_per_server=sample,
-            )
-        elif kind == "fuzz":
-            from repro.faults import FuzzCampaignConfig
-
-            configs[kind] = FuzzCampaignConfig(
-                base=base, seed=seed, sample_per_server=sample,
-                mutants_per_config=mutants_per_config,
-            )
-        else:
-            from repro.invoke import InvocationCampaignConfig
-
-            configs[kind] = InvocationCampaignConfig(
-                base=base, seed=seed, sample_per_server=sample,
-                payloads_per_class=payloads_per_class,
-            )
+            continue
+        config_class = campaign_class(kind).CONFIG
+        names = {spec.name for spec in fields(config_class)}
+        configs[kind] = config_class(**{
+            name: value for name, value in given.items() if name in names
+        })
     return configs
 
 
@@ -88,8 +82,6 @@ def run_sweep(kind, config, workers=1, checkpoint_dir=None, progress=None,
     any ``workers``, so the canonical matrix — and therefore the drift
     report — does not depend on it.
     """
-    from repro.core.sharding import PoolConfig, campaign_class, execute_sharded
-
     campaign = campaign_class(kind)(config)
     result, stats = execute_sharded(
         campaign.shard_job(), PoolConfig(workers=workers),

@@ -107,6 +107,23 @@ def _outcome(service_name, client_id, statuses, detail="", verdict=None):
     )
 
 
+def count_steps(cell, outcome):
+    """Count ``outcome``'s four step statuses into ``cell``.
+
+    Adds one to ``tests``, then to the ``<step>_errors`` counter of the
+    first step that ended in ERROR, or else to ``completed``; returns
+    whether the outcome completed.
+    """
+    cell.tests += 1
+    for step in _STEPS:
+        if getattr(outcome, step) is StepStatus.ERROR:
+            counter = f"{step}_errors"
+            setattr(cell, counter, getattr(cell, counter) + 1)
+            return False
+    cell.completed += 1
+    return True
+
+
 def _status(result):
     return StepStatus.WARNING if result.warnings else StepStatus.OK
 

@@ -8,7 +8,7 @@ buy survival.
 """
 
 from repro.core import CampaignConfig
-from repro.core.extended import LifecycleCampaign
+from repro.core.extended import LifecycleCampaign, LifecycleCampaignConfig
 from repro.faults import (
     FaultKind,
     FuzzCampaign,
@@ -24,7 +24,9 @@ SEED = 20140622
 
 
 def test_lifecycle_fails_only_where_section_4a_predicts():
-    result = LifecycleCampaign(CampaignConfig(), sample_per_server=120).run()
+    result = LifecycleCampaign(
+        LifecycleCampaignConfig(CampaignConfig(), 120)
+    ).run()
     # The echo server is faithful: communication is the only possible
     # post-compilation failure, and execution never mismatches.
     assert result.totals()["execution_errors"] == 0

@@ -20,7 +20,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import Campaign, CampaignConfig, sharding
-from repro.core.extended import LifecycleCampaign
+from repro.core.extended import LifecycleCampaign, LifecycleCampaignConfig
 from repro.core.store import CampaignCheckpoint, result_to_obj
 from repro.faults import (
     FaultKind,
@@ -68,7 +68,7 @@ def _fuzz_campaign():
 
 
 def _lifecycle_campaign():
-    return LifecycleCampaign(_base(), sample_per_server=2)
+    return LifecycleCampaign(LifecycleCampaignConfig(_base(), 2))
 
 
 def _lifecycle_bytes(result):

@@ -35,7 +35,7 @@ import repro.runtime.lifecycle as lifecycle_module
 from repro.core import Campaign, CampaignConfig
 from repro.core.outcomes import intern_outcome
 from repro.core.store import CampaignCheckpoint, result_to_obj
-from repro.core.extended import LifecycleCampaign
+from repro.core.extended import LifecycleCampaign, LifecycleCampaignConfig
 from repro.faults import (
     FaultKind,
     FuzzCampaign,
@@ -168,7 +168,9 @@ class TestSampledSweepsReadEachRecordOnce:
         self._assert_once_per_record(result, reads, config)
 
     def test_lifecycle_campaign(self):
-        campaign = LifecycleCampaign(_quick_config(), sample_per_server=2)
+        campaign = LifecycleCampaign(
+            LifecycleCampaignConfig(_quick_config(), 2)
+        )
         config = campaign.shard_job().config
         result, reads = _traced_read_spans("lifecycle", config, campaign)
         self._assert_once_per_record(result, reads, config)
@@ -188,7 +190,9 @@ class TestSampledSweepsReadEachRecordOnce:
         InvocationCampaign(InvocationCampaignConfig(
             base=_quick_config(), sample_per_server=2, payloads_per_class=1,
         )).run()
-        LifecycleCampaign(_quick_config(), sample_per_server=2).run()
+        LifecycleCampaign(
+            LifecycleCampaignConfig(_quick_config(), 2)
+        ).run()
         assert len(taken) > 2
         for verdict, text, limits in taken:
             # A fresh read of the same text is the document as read.
@@ -290,7 +294,9 @@ class TestSampledSweepsSerializeOnlyTheirSample:
         _assert_once_each(serialized, sum(result.services_per_server.values()))
 
     def test_lifecycle_campaign(self, serialized):
-        result = LifecycleCampaign(_quick_config(), sample_per_server=2).run()
+        result = LifecycleCampaign(
+            LifecycleCampaignConfig(_quick_config(), 2)
+        ).run()
         _assert_once_each(serialized, sum(result.services_per_server.values()))
 
 

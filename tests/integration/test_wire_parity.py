@@ -86,6 +86,27 @@ class TestByteParity:
         assert digests["memory"] == digests["wire"]
         assert _no_wire_threads()
 
+    def test_lifecycle_sweep_runs_over_the_wire(self):
+        from repro.core.extended import (
+            LifecycleCampaign,
+            LifecycleCampaignConfig,
+        )
+        from repro.obs import Tracer, activate, trace_id_for
+
+        results, posts = {}, {}
+        for transport in ("memory", "wire"):
+            config = LifecycleCampaignConfig(_base(transport), 2)
+            tracer = Tracer(trace_id_for("lifecycle", config.fingerprint()))
+            with activate(tracer):
+                results[transport] = LifecycleCampaign(config).run().to_obj()
+            posts[transport] = sum(
+                event["count"] for event in tracer.metrics.to_events()
+                if event["kind"] == "histogram" and event["name"] == "wire_ms"
+            )
+        assert results["memory"] == results["wire"]
+        assert posts["memory"] == 0 < posts["wire"]
+        assert _no_wire_threads()
+
     def test_fingerprint_is_transport_invariant(self):
         # A wire sweep must gate against a memory-accepted baseline:
         # the transport is deliberately absent from every fingerprint.

@@ -13,7 +13,7 @@ import pytest
 from repro import cli
 from repro.cli import build_parser, main
 from repro.core import Campaign, CampaignConfig
-from repro.core.extended import LifecycleCampaign
+from repro.core.extended import LifecycleCampaign, LifecycleCampaignConfig
 from repro.faults import ResilienceCampaign, ResilienceCampaignConfig
 
 
@@ -289,7 +289,9 @@ class TestNonPositiveCounts:
     @pytest.mark.parametrize("sample", [0, -1])
     def test_sampled_campaigns_reject_an_empty_sample(self, sample):
         with pytest.raises(ValueError, match="sample_per_server"):
-            LifecycleCampaign(CampaignConfig(), sample_per_server=sample)
+            LifecycleCampaign(
+                LifecycleCampaignConfig(CampaignConfig(), sample)
+            )
         with pytest.raises(ValueError, match="sample_per_server"):
             ResilienceCampaign(
                 ResilienceCampaignConfig(sample_per_server=sample)

@@ -18,7 +18,7 @@ from repro.compilers import (
     DiagnosticSeverity,
 )
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.extended import LifecycleCampaign
+from repro.core.extended import LifecycleCampaign, LifecycleCampaignConfig
 from repro.core.outcomes import StepStatus
 from repro.faults.campaign import (
     FuzzCampaign,
@@ -187,7 +187,7 @@ _OVERRIDES = {"axis1": {"throwable_wrapper_bug": False}}
 
 
 @pytest.mark.parametrize("make", [
-    lambda base: LifecycleCampaign(base, sample_per_server=1),
+    lambda base: LifecycleCampaign(LifecycleCampaignConfig(base, 1)),
     lambda base: ResilienceCampaign(ResilienceCampaignConfig(base=base)),
     lambda base: FuzzCampaign(FuzzCampaignConfig(base=base)),
     lambda base: InvocationCampaign(InvocationCampaignConfig(base=base)),

@@ -8,7 +8,11 @@ import os
 import pytest
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.extended import LifecycleCampaign, LifecycleCellStats
+from repro.core.extended import (
+    LifecycleCampaign,
+    LifecycleCampaignConfig,
+    LifecycleCellStats,
+)
 from repro.core.outcomes import StepStatus
 from repro.core.stats import (
     diagnostic_code_frequencies,
@@ -137,7 +141,7 @@ class TestLifecycleCampaign:
         config = CampaignConfig(
             java_quotas=QUICK_JAVA_QUOTAS, dotnet_quotas=QUICK_DOTNET_QUOTAS
         )
-        return LifecycleCampaign(config, sample_per_server=40).run()
+        return LifecycleCampaign(LifecycleCampaignConfig(config, 40)).run()
 
     def test_sampling_bounds_services(self, lifecycle_result):
         for count in lifecycle_result.services_per_server.values():
