@@ -68,18 +68,17 @@ class ApplicationServer:
         return f"http://{self.host}:{self.port}"
 
     def deploy(self, service):
-        """Deploy ``service``; returns the :class:`DeploymentRecord`."""
-        endpoint_url = f"{self.base_url()}/{service.name}"
-        outcome = self.framework.deploy(service, endpoint_url)
-        if not outcome.accepted:
-            record = DeploymentRecord(
-                service=service, accepted=False, reason=outcome.reason
-            )
+        """Deploy ``service``: refuse it, or publish its WSDL at its
+        endpoint.  Returns the :class:`DeploymentRecord`."""
+        reason = self.framework.refusal(service)
+        if reason:
+            record = DeploymentRecord(service=service, accepted=False, reason=reason)
         else:
+            endpoint_url = f"{self.base_url()}/{service.name}"
             record = DeploymentRecord(
                 service=service,
                 accepted=True,
-                wsdl=outcome.wsdl,
+                wsdl=self.framework.generate_wsdl(service, endpoint_url),
                 endpoint_url=endpoint_url,
             )
         self.deployments.append(record)

@@ -28,7 +28,7 @@ import time
 from typing import Callable, NamedTuple
 
 from repro.appservers import container_for
-from repro.core import CampaignConfig
+from repro.core import Campaign, CampaignConfig
 from repro.core.analysis import headline_numbers
 from repro.core.canon import CAMPAIGN_KINDS
 from repro.core.extended import LifecycleCampaignConfig
@@ -531,10 +531,9 @@ def cmd_report(args):
 
 
 def _deploy_one(server_id, type_name):
-    catalog = build_java_catalog() if server_id != "wcf" else build_dotnet_catalog()
-    type_info = catalog.require(type_name)
     container = container_for(server_id)
-    return container.deploy(ServiceDefinition(type_info))
+    catalog = Campaign().catalog(container.framework.catalog)
+    return container.deploy(ServiceDefinition(catalog.require(type_name)))
 
 
 def cmd_experiments(args):

@@ -29,7 +29,12 @@ from repro.core.sharding import (
 )
 from repro.core.store import ServerSlice
 from repro.obs.trace import current_tracer
-from repro.frameworks.registry import CLIENT_IDS, SERVER_IDS, all_client_frameworks
+from repro.frameworks.registry import (
+    CLIENT_IDS,
+    SERVER_IDS,
+    all_client_frameworks,
+    server_framework,
+)
 from repro.services import generate_corpus
 from repro.typesystem import (
     DEFAULT_DOTNET_QUOTAS,
@@ -40,9 +45,6 @@ from repro.typesystem import (
 from repro.wsdl import read_wsdl_text
 from repro.wsi import check_document
 
-#: Which language catalog each server framework consumes.
-_SERVER_CATALOG = {"metro": "java", "jbossws": "java", "wcf": "dotnet"}
-
 
 @dataclass
 class CampaignConfig:
@@ -52,15 +54,6 @@ class CampaignConfig:
     client_ids: tuple = CLIENT_IDS
     java_quotas: object = DEFAULT_JAVA_QUOTAS
     dotnet_quotas: object = DEFAULT_DOTNET_QUOTAS
-    #: Re-parse the serialized WSDL text for every client test of
-    #: ``run`` instead of sharing one parsed document (and its schema
-    #: facts) per service: each client then scans its own document.
-    #: Slower but closest to what real tools do; results are identical
-    #: because parsing is deterministic.  It governs ``run`` only: the
-    #: fuzz sweep always shares one read per mutant, and the invoke,
-    #: resilience and lifecycle sweeps read each sampled record once per
-    #: unit for all of its clients (``runtime.lifecycle.SharedReads``).
-    parse_per_client: bool = False
     #: What-if overrides: ``{client_id: {flag: value}}`` applied to the
     #: instantiated client frameworks.  Used by the fix-impact ablation
     #: to simulate a tool with one of its documented bugs repaired
@@ -80,7 +73,8 @@ class CampaignConfig:
         return {
             "servers": list(self.server_ids),
             "clients": list(self.client_ids),
-            "parse_per_client": self.parse_per_client,
+            # A removed option at its old value: saved fingerprints still match.
+            "parse_per_client": False,
             "overrides": {
                 client_id: dict(flags)
                 for client_id, flags in sorted(
@@ -118,7 +112,7 @@ class Campaign:
 
     def corpus_for(self, server_id):
         """The service corpus deployed on ``server_id``."""
-        return generate_corpus(self.catalog(_SERVER_CATALOG[server_id]))
+        return generate_corpus(self.catalog(server_framework(server_id).catalog))
 
     # -- Testing Phase ---------------------------------------------------------
 
@@ -193,7 +187,6 @@ class Campaign:
         # engine, so that importing the CLI does not load it.
         from repro.frameworks.client.engine import schema_facts
 
-        config = self.config
         tracer = current_tracer()
         started = time.perf_counter()
         # The unit executes a *slice* of the server, so its children
@@ -242,23 +235,14 @@ class Campaign:
                             report.wsi_failing.add(document.name)
                         elif wsi.advisories:
                             report.wsi_advisory_only.add(document.name)
-                        # One schema scan serves every client; a client
-                        # given its own parse scans that document instead.
-                        facts = None
-                        if not config.parse_per_client:
-                            facts = schema_facts(document)
+                        # One read and one schema scan serve every client.
+                        facts = schema_facts(document)
                         for client_id, client in clients.items():
-                            if config.parse_per_client:
-                                document_for_client = read_wsdl_text(
-                                    record.wsdl_text
-                                )
-                            else:
-                                document_for_client = document
                             with tracer.span("test", client=client_id):
                                 records.append(
                                     run_client_test(
                                         unit.server_id, client_id, client,
-                                        document_for_client, facts,
+                                        document, facts,
                                     )
                                 )
         if unit.chunk_index == unit.chunk_count - 1:

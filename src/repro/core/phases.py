@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.campaign import _SERVER_CATALOG, Campaign, CampaignConfig
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.docweb import harvest_type_names
 from repro.frameworks.registry import all_client_frameworks, all_server_frameworks
 
@@ -81,7 +81,7 @@ class PreparationPhase:
         }
 
         for server_id in config.server_ids:
-            language = _SERVER_CATALOG[server_id]
+            language = result.servers[server_id].catalog
             catalog = campaign.catalog(language)
             result.catalogs[language] = catalog
             if self.crawl_documentation and language not in result.harvested_names:

@@ -60,27 +60,24 @@ class GenerationResult:
         return not self.errors
 
 
-@dataclass
-class DeploymentResult:
-    """Outcome of deploying one service on a server framework."""
-
-    service: object
-    accepted: bool
-    wsdl: object = None  # WsdlDocument | None
-    reason: str = ""
-
-
 class ServerFramework:
     """A server-side framework subsystem (Table I row).
 
     Subclasses implement :meth:`can_bind` (which types are describable)
-    and :meth:`generate_wsdl`.  ``deploy`` combines both the way an
-    application server does: refuse, or publish a WSDL.
+    and declare, like ``name``, the catalog they deploy and the idioms
+    of the WSDL they publish.  An application server asks
+    :meth:`refusal`, then :meth:`generate_wsdl`.
     """
 
     name = ""
     version = ""
     language = ""
+    #: The language catalog whose services the framework deploys.
+    catalog = ""
+    #: Prefix of the XSD namespace in the published WSDL.
+    schema_prefix = "xsd"
+    #: The vendor extensions the published WSDL carries.
+    extension_markers = ()
 
     def can_bind(self, type_info):
         """True if the framework can describe ``type_info`` in a WSDL."""
@@ -90,28 +87,36 @@ class ServerFramework:
         """Human-readable reason :meth:`can_bind` returned False."""
         return "type cannot be bound to an XSD type"
 
+    def refusal(self, service):
+        """Why ``service`` cannot deploy, or ``""`` if it can.
+
+        A service deploys only if *every* member type is bindable; the
+        first one that is not gives the reason.
+        """
+        for type_info in service.parameter_types:
+            if not self.can_bind(type_info):
+                return self.rejection_reason(type_info)
+        return ""
+
     def generate_wsdl(self, service, endpoint_url):
         """Produce the :class:`~repro.wsdl.model.WsdlDocument`."""
-        raise NotImplementedError
+        # Imported here, as ``ClientFramework.generate`` imports the
+        # engine: the server frameworks import this module.
+        from repro.frameworks.server.common import build_echo_wsdl
 
-    def deploy(self, service, endpoint_url):
-        """Deploy ``service``: refuse it or publish its WSDL.
+        return build_echo_wsdl(
+            service,
+            endpoint_url,
+            self.schema_prefix,
+            self.extension_markers,
+            self._emit_parameter_type,
+        )
 
-        Composite services (anything exposing ``parameter_types``)
-        deploy only if *every* member type is bindable.
-        """
-        member_types = getattr(service, "parameter_types", None)
-        if member_types is None:
-            member_types = (service.parameter_type,)
-        for type_info in member_types:
-            if not self.can_bind(type_info):
-                return DeploymentResult(
-                    service=service,
-                    accepted=False,
-                    reason=self.rejection_reason(type_info),
-                )
-        wsdl = self.generate_wsdl(service, endpoint_url)
-        return DeploymentResult(service=service, accepted=True, wsdl=wsdl)
+    def _emit_parameter_type(self, type_info, schema):
+        """Describe ``type_info`` in ``schema``; returns its QName."""
+        from repro.frameworks.server.common import emit_default_parameter_type
+
+        return emit_default_parameter_type(type_info, schema)
 
     def __repr__(self):
         return f"<ServerFramework {self.name} {self.version}>"

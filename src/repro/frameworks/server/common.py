@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.services.model import echo_operation_name
 from repro.typesystem.model import TypeKind
 from repro.wsdl.model import SoapOperation, WsdlDocument, WsdlMessage
 from repro.xmlcore import QName, XSD_NS
@@ -60,114 +61,44 @@ def build_echo_wsdl(
     schema_prefix="xsd",
     extension_markers=(),
     type_emitter=emit_default_parameter_type,
+    member_types=None,
 ):
-    """Build the standard echo-service WSDL document.
+    """Build the document/literal-wrapped echo WSDL of ``service``.
 
-    ``type_emitter`` is the hook where server frameworks inject their
-    type-description quirks; it must add declarations to the schema and
-    return the QName for the parameter type.
+    One wrapper element pair, message pair and portType operation per
+    member type, all in one schema.  The member types are
+    ``service.parameter_types`` unless ``member_types`` is given: a
+    simple service is the one-member case, and no member types give an
+    empty portType.  ``type_emitter`` is the hook where server
+    frameworks inject their type-description quirks; it must add
+    declarations to the schema and return the QName for the parameter
+    type.
     """
-    type_info = service.parameter_type
-    tns = service.target_namespace
-    operation = service.operation_name
-
-    schema = Schema(target_namespace=tns)
-    type_ref = type_emitter(type_info, schema)
-
-    schema.elements.append(
-        ElementDecl(
-            name=operation,
-            inline_type=ComplexType(
-                particles=[ElementParticle(name="input", type_name=type_ref)]
-            ),
-        )
-    )
-    schema.elements.append(
-        ElementDecl(
-            name=f"{operation}Response",
-            inline_type=ComplexType(
-                particles=[ElementParticle(name="return", type_name=type_ref)]
-            ),
-        )
-    )
-
-    return WsdlDocument(
-        name=service.name,
-        target_namespace=tns,
-        schemas=[schema],
-        messages=[
-            WsdlMessage(operation, "parameters", QName(tns, operation)),
-            WsdlMessage(
-                f"{operation}Response",
-                "parameters",
-                QName(tns, f"{operation}Response"),
-            ),
-        ],
-        operations=[
-            SoapOperation(
-                name=operation,
-                input_message=operation,
-                output_message=f"{operation}Response",
-                soap_action=f"{tns}/{operation}",
-            )
-        ],
-        service_name=service.name,
-        port_name=f"{service.name}Port",
-        endpoint_url=endpoint_url,
-        extension_markers=tuple(extension_markers),
-        schema_prefix=schema_prefix,
-    )
-
-
-def build_composite_wsdl(
-    service,
-    endpoint_url,
-    schema_prefix="xsd",
-    extension_markers=(),
-    type_emitter=emit_default_parameter_type,
-):
-    """Build a multi-operation WSDL for a composite service.
-
-    One wrapper pair, message pair and portType operation per member
-    type; all member types share one schema, each emitted through the
-    framework's ``type_emitter`` (so per-type quirks still apply).
-    """
+    if member_types is None:
+        member_types = service.parameter_types
     tns = service.target_namespace
     schema = Schema(target_namespace=tns)
     messages = []
     operations = []
-    for type_info in service.parameter_types:
+    for type_info in member_types:
         type_ref = type_emitter(type_info, schema)
-        operation = f"echo{type_info.name}"
-        schema.elements.append(
-            ElementDecl(
-                name=operation,
-                inline_type=ComplexType(
-                    particles=[ElementParticle(name="input", type_name=type_ref)]
-                ),
+        operation = echo_operation_name(type_info)
+        response = f"{operation}Response"
+        for element, particle in ((operation, "input"), (response, "return")):
+            schema.elements.append(
+                ElementDecl(
+                    name=element,
+                    inline_type=ComplexType(
+                        particles=[ElementParticle(name=particle, type_name=type_ref)]
+                    ),
+                )
             )
-        )
-        schema.elements.append(
-            ElementDecl(
-                name=f"{operation}Response",
-                inline_type=ComplexType(
-                    particles=[ElementParticle(name="return", type_name=type_ref)]
-                ),
-            )
-        )
-        messages.append(WsdlMessage(operation, "parameters", QName(tns, operation)))
-        messages.append(
-            WsdlMessage(
-                f"{operation}Response",
-                "parameters",
-                QName(tns, f"{operation}Response"),
-            )
-        )
+            messages.append(WsdlMessage(element, "parameters", QName(tns, element)))
         operations.append(
             SoapOperation(
                 name=operation,
                 input_message=operation,
-                output_message=f"{operation}Response",
+                output_message=response,
                 soap_action=f"{tns}/{operation}",
             )
         )
@@ -182,24 +113,4 @@ def build_composite_wsdl(
         endpoint_url=endpoint_url,
         extension_markers=tuple(extension_markers),
         schema_prefix=schema_prefix,
-    )
-
-
-def build_empty_wsdl(service, endpoint_url, extension_markers=()):
-    """A WSDL with a portType that declares no operations.
-
-    This is the JBossWS behaviour on the async-handle types: the schema
-    permits zero ``operation`` elements (the paper argues it should not),
-    so the document deploys and passes WS-I with only an advisory.
-    """
-    return WsdlDocument(
-        name=service.name,
-        target_namespace=service.target_namespace,
-        schemas=[Schema(target_namespace=service.target_namespace)],
-        messages=[],
-        operations=[],
-        service_name=service.name,
-        port_name=f"{service.name}Port",
-        endpoint_url=endpoint_url,
-        extension_markers=tuple(extension_markers),
     )

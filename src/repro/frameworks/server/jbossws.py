@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from repro.frameworks.base import ServerFramework
 from repro.frameworks.server.common import (
-    build_composite_wsdl,
     build_echo_wsdl,
-    build_empty_wsdl,
-    emit_default_parameter_type,
     properties_to_particles,
 )
 from repro.typesystem.model import CtorVisibility, Trait
@@ -33,6 +30,8 @@ class JBossWsCxfServer(ServerFramework):
     name = "JBossWS CXF"
     version = "4.2.3"
     language = "Java"
+    catalog = "java"
+    extension_markers = ("jaxws-bindings",)
 
     def can_bind(self, type_info):
         if type_info.has_trait(Trait.ASYNC_HANDLE):
@@ -51,30 +50,17 @@ class JBossWsCxfServer(ServerFramework):
         return "default constructor is not public"
 
     def generate_wsdl(self, service, endpoint_url):
-        member_types = getattr(service, "parameter_types", None)
-        if member_types is None:
-            member_types = (service.parameter_type,)
-        if any(t.has_trait(Trait.ASYNC_HANDLE) for t in member_types):
+        if any(t.has_trait(Trait.ASYNC_HANDLE) for t in service.parameter_types):
             # The async-handle quirk swallows the whole interface: the
             # published portType is empty even for composite services.
-            return build_empty_wsdl(
-                service, endpoint_url, extension_markers=("jaxws-bindings",)
-            )
-        if hasattr(service, "parameter_types"):
-            return build_composite_wsdl(
+            return build_echo_wsdl(
                 service,
                 endpoint_url,
-                schema_prefix="xsd",
-                extension_markers=("jaxws-bindings",),
-                type_emitter=self._emit_parameter_type,
+                self.schema_prefix,
+                self.extension_markers,
+                member_types=(),
             )
-        return build_echo_wsdl(
-            service,
-            endpoint_url,
-            schema_prefix="xsd",
-            extension_markers=("jaxws-bindings",),
-            type_emitter=self._emit_parameter_type,
-        )
+        return super().generate_wsdl(service, endpoint_url)
 
     def _emit_parameter_type(self, type_info, schema):
         if type_info.has_trait(Trait.WS_ADDRESSING_EPR):
@@ -95,4 +81,4 @@ class JBossWsCxfServer(ServerFramework):
                 )
             )
             return QName(schema.target_namespace, type_info.name)
-        return emit_default_parameter_type(type_info, schema)
+        return super()._emit_parameter_type(type_info, schema)

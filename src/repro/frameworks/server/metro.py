@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 from repro.frameworks.base import ServerFramework
-from repro.frameworks.server.common import (
-    build_composite_wsdl,
-    build_echo_wsdl,
-    emit_default_parameter_type,
-    properties_to_particles,
-)
+from repro.frameworks.server.common import properties_to_particles
 from repro.typesystem.model import CtorVisibility, Trait
 from repro.xmlcore import QName, XSD_NS
 from repro.xmlcore.names import WSA_NS
@@ -36,6 +31,8 @@ class MetroServer(ServerFramework):
     name = "Oracle Metro"
     version = "2.3"
     language = "Java"
+    catalog = "java"
+    extension_markers = ("jaxws-bindings",)
 
     def can_bind(self, type_info):
         return (
@@ -55,23 +52,6 @@ class MetroServer(ServerFramework):
         if not type_info.is_concrete_class:
             return f"{type_info.kind.value} types cannot be instantiated by JAXB"
         return "no accessible default constructor"
-
-    def generate_wsdl(self, service, endpoint_url):
-        if hasattr(service, "parameter_types"):
-            return build_composite_wsdl(
-                service,
-                endpoint_url,
-                schema_prefix="xsd",
-                extension_markers=("jaxws-bindings",),
-                type_emitter=self._emit_parameter_type,
-            )
-        return build_echo_wsdl(
-            service,
-            endpoint_url,
-            schema_prefix="xsd",
-            extension_markers=("jaxws-bindings",),
-            type_emitter=self._emit_parameter_type,
-        )
 
     def _emit_parameter_type(self, type_info, schema):
         if type_info.has_trait(Trait.WS_ADDRESSING_EPR):
@@ -97,4 +77,4 @@ class MetroServer(ServerFramework):
                 )
             )
             return QName(schema.target_namespace, type_info.name)
-        return emit_default_parameter_type(type_info, schema)
+        return super()._emit_parameter_type(type_info, schema)

@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 from repro.frameworks.base import ServerFramework
-from repro.frameworks.server.common import (
-    build_composite_wsdl,
-    build_echo_wsdl,
-    emit_default_parameter_type,
-    properties_to_particles,
-)
+from repro.frameworks.server.common import properties_to_particles
 from repro.typesystem.model import CtorVisibility, Trait
 from repro.xmlcore import QName, XML_NS, XSD_NS
 from repro.xsd.model import (
@@ -39,6 +34,9 @@ class WcfNetServer(ServerFramework):
     name = "Microsoft WCF .NET"
     version = "4.0.30319.17929"
     language = "C#"
+    catalog = "dotnet"
+    schema_prefix = "s"
+    extension_markers = ("wcf-metadata",)
 
     def can_bind(self, type_info):
         return (
@@ -53,23 +51,6 @@ class WcfNetServer(ServerFramework):
         if not type_info.is_concrete_class:
             return f"{type_info.kind.value} types cannot be serialized"
         return "no public parameterless constructor"
-
-    def generate_wsdl(self, service, endpoint_url):
-        if hasattr(service, "parameter_types"):
-            return build_composite_wsdl(
-                service,
-                endpoint_url,
-                schema_prefix="s",
-                extension_markers=("wcf-metadata",),
-                type_emitter=self._emit_parameter_type,
-            )
-        return build_echo_wsdl(
-            service,
-            endpoint_url,
-            schema_prefix="s",
-            extension_markers=("wcf-metadata",),
-            type_emitter=self._emit_parameter_type,
-        )
 
     def _emit_parameter_type(self, type_info, schema):
         tns = schema.target_namespace
@@ -136,4 +117,4 @@ class WcfNetServer(ServerFramework):
                 )
             )
             return QName(tns, type_info.name)
-        return emit_default_parameter_type(type_info, schema)
+        return super()._emit_parameter_type(type_info, schema)

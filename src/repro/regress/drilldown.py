@@ -176,8 +176,9 @@ def _drill_run(narrowed, parts, trace_id):
     ]
     # Failing services first, then canonical order; the cap keeps the
     # drill-down bounded on wide cells.
+    by_id = {event["id"]: event for event in events}
     id_by_service = {
-        event["id"]: _service_of(event, events) for event in spans
+        event["id"]: _service_of(event, by_id) for event in spans
     }
     spans.sort(
         key=lambda event: (
@@ -188,8 +189,9 @@ def _drill_run(narrowed, parts, trace_id):
     return spans, [], notes
 
 
-def _service_of(event, events):
-    by_id = {item["id"]: item for item in events}
+def _service_of(event, by_id):
+    """The ``service`` attribute of ``event`` or its nearest ancestor in
+    ``by_id``, the trace's events by ID."""
     node = event
     while node is not None:
         service = node["attrs"].get("service")

@@ -22,10 +22,16 @@ class ServiceDefinition:
     """One generated test service.
 
     The service has exactly one operation, named after the parameter
-    type, with one input and one output of that type.
+    type, with one input and one output of that type: the one-member
+    case of a :class:`~repro.services.composite.CompositeServiceDefinition`.
     """
 
     parameter_type: TypeInfo
+
+    @property
+    def parameter_types(self):
+        """The member types the service echoes, as a composite's are."""
+        return (self.parameter_type,)
 
     @property
     def name(self):

@@ -34,7 +34,7 @@ import repro.invoke.response as response_module
 import repro.runtime.lifecycle as lifecycle_module
 from repro.core import Campaign, CampaignConfig
 from repro.core.outcomes import intern_outcome
-from repro.core.store import CampaignCheckpoint, result_to_obj
+from repro.core.store import CampaignCheckpoint
 from repro.core.extended import LifecycleCampaign, LifecycleCampaignConfig
 from repro.faults import (
     FaultKind,
@@ -367,30 +367,6 @@ class TestRunScansEachDocumentOnce:
         assert len(reads) == result.services_deployed
         assert len(scans) == len(reads)
         assert all(scanned is read for scanned, read in zip(scans, reads))
-
-    def test_a_client_parse_is_scanned_for_itself(self, reads, scans):
-        config = _quick_config(
-            server_ids=("jbossws",), parse_per_client=True
-        )
-        Campaign(config).run()
-        per_service = 1 + len(config.client_ids)
-        assert len(reads) % per_service == 0
-        # Each client's own parse is the document scanned for it; the
-        # shared parse is scanned for nobody.
-        client_reads = [
-            document for index, document in enumerate(reads)
-            if index % per_service
-        ]
-        assert len(scans) == len(client_reads)
-        assert all(
-            scanned is read for scanned, read in zip(scans, client_reads)
-        )
-
-    def test_a_parse_per_client_run_gives_the_default_records(
-        self, quick_campaign_result
-    ):
-        own_parses = Campaign(_quick_config(parse_per_client=True)).run()
-        assert result_to_obj(own_parses) == result_to_obj(quick_campaign_result)
 
     def test_no_cycle_search_without_a_client_that_fails_on_cycles(
         self, monkeypatch

@@ -27,9 +27,10 @@ def _plain(language=Language.JAVA, **kwargs):
 
 
 def _wsdl(server, type_info):
-    outcome = server.deploy(ServiceDefinition(type_info), URL)
-    assert outcome.accepted, outcome.reason
-    return outcome.wsdl
+    service = ServiceDefinition(type_info)
+    reason = server.refusal(service)
+    assert not reason, reason
+    return server.generate_wsdl(service, URL)
 
 
 class TestBindingRules:
@@ -69,9 +70,8 @@ class TestBindingRules:
             Language.JAVA, "p", "Future", kind=TypeKind.INTERFACE,
             ctor=CtorVisibility.NONE, traits=frozenset({Trait.ASYNC_HANDLE}),
         )
-        outcome = MetroServer().deploy(ServiceDefinition(future), URL)
-        assert not outcome.accepted
-        assert "refused deployment" in outcome.reason
+        reason = MetroServer().refusal(ServiceDefinition(future))
+        assert "refused deployment" in reason
 
 
 class TestCommonEmission:
